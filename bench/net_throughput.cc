@@ -1,8 +1,8 @@
 // Loopback-socket serving throughput bench: the service_throughput batch
 // pushed through the real net stack. Four concurrent clients pipeline a
-// deterministic mixed-backend request stream over TCP into the poll-based
-// Server + JobScheduler front-end (the same composition qplex_serve --listen
-// runs), and read their responses back.
+// deterministic mixed-backend request stream over TCP into svc::FrontEnd
+// over the JobScheduler (the same front-end qplex_serve --listen runs), and
+// read their responses back.
 //
 // Captured counters are deterministic by construction: every request is
 // unique (no cache, distinct seeds per client), so connection counts, parsed
@@ -15,8 +15,6 @@
 #include <atomic>
 #include <cstdint>
 #include <iostream>
-#include <map>
-#include <poll.h>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,13 +24,12 @@
 #include "common/stopwatch.h"
 #include "net/frame.h"
 #include "net/io.h"
-#include "net/server.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/run_report.h"
 #include "obs/trace.h"
+#include "svc/frontend.h"
 #include "svc/registry.h"
-#include "svc/request.h"
 #include "svc/scheduler.h"
 
 namespace qplex {
@@ -130,35 +127,14 @@ int main() {
   scheduler_options.queue_capacity = 2 * kClients * kRequestsPerClient;
   svc::JobScheduler scheduler(&registry, scheduler_options);
 
-  struct Route {
-    std::uint64_t conn;
-    std::string label;
-  };
-  std::map<svc::JobId, Route> outstanding;
-  net::Server* server_ptr = nullptr;
-  int line_number = 0;
-
-  net::ServerOptions server_options;
-  server_options.port = 0;
-  server_options.max_connections = kClients;
-  net::ServerCallbacks callbacks;
-  callbacks.on_line = [&](std::uint64_t conn, std::string line) {
-    const Result<svc::RequestSpec> spec =
-        svc::ParseRequestLine(line, ++line_number);
-    QPLEX_CHECK(spec.ok()) << spec.status().ToString();
-    const Result<svc::JobId> id = scheduler.Submit(spec.value().request);
-    QPLEX_CHECK(id.ok()) << id.status().ToString();
-    outstanding.emplace(id.value(),
-                        Route{conn, spec.value().request.label});
-  };
-  callbacks.on_close = [](std::uint64_t) {};
-  callbacks.on_protocol_error = [](std::uint64_t, const Status& violation) {
-    QPLEX_CHECK(false) << violation.ToString();
-  };
-  Result<std::unique_ptr<net::Server>> server =
-      net::Server::Create(server_options, std::move(callbacks));
-  QPLEX_CHECK(server.ok()) << server.status().ToString();
-  server_ptr = server.value().get();
+  svc::FrontEndOptions front_end_options;
+  front_end_options.queue_cap =
+      static_cast<int>(scheduler_options.queue_capacity);
+  front_end_options.listen_port = 0;
+  front_end_options.max_connections = kClients;
+  svc::FrontEnd front_end(&scheduler, /*journal=*/nullptr, front_end_options);
+  const Status listening = front_end.Listen();
+  QPLEX_CHECK(listening.ok()) << listening.ToString();
 
   std::atomic<std::int64_t> responses{0};
   std::atomic<std::int64_t> total_size{0};
@@ -166,35 +142,23 @@ int main() {
   std::vector<std::thread> clients;
   clients.reserve(kClients);
   for (int c = 0; c < kClients; ++c) {
-    clients.emplace_back(RunClient, c, server_ptr->port(), &responses,
+    clients.emplace_back(RunClient, c, front_end.port(), &responses,
                          &total_size);
   }
 
   const std::int64_t expected =
       static_cast<std::int64_t>(kClients) * kRequestsPerClient;
-  std::int64_t sent = 0;
-  while (sent < expected || server_ptr->active_connections() > 0 ||
-         server_ptr->has_queued_writes()) {
-    QPLEX_CHECK(server_ptr->Poll(2).ok());
-    std::vector<svc::JobId> ids;
-    ids.reserve(outstanding.size());
-    for (const auto& [id, route] : outstanding) {
-      ids.push_back(id);
-    }
-    for (const svc::JobId id : ids) {
-      svc::SolveResponse response;
-      if (!scheduler.TryWait(id, &response)) {
-        continue;
-      }
-      QPLEX_CHECK(response.status.ok()) << response.status.ToString();
-      const Route route = outstanding.at(id);
-      outstanding.erase(id);
-      server_ptr->Send(route.conn,
-                       svc::RenderResponseLine(route.label, response) + "\n");
-      ++sent;
-    }
-    server_ptr->FlushWritable();
-  }
+  // Stop once every client has its answers and the server has seen every
+  // connection close, so the connection counters are final.
+  const Result<svc::FrontEndOutcome> served = front_end.Run([&] {
+    return responses.load() == expected &&
+           obs::MetricsRegistry::Global()
+                   .GetGauge("net.connections.active")
+                   .Get() == 0;
+  });
+  QPLEX_CHECK(served.ok()) << served.status().ToString();
+  QPLEX_CHECK(served.value().failures == 0 && served.value().malformed == 0)
+      << "requests failed or were malformed";
   for (std::thread& client : clients) {
     client.join();
   }

@@ -121,6 +121,32 @@ void CloseFd(int fd) {
   }
 }
 
+Result<std::string> SlurpFile(const std::string& path) {
+  const bool from_stdin = path == "-";
+  int fd = STDIN_FILENO;
+  if (!from_stdin) {
+    do {
+      fd = ::open(path.c_str(), O_RDONLY);
+    } while (fd < 0 && errno == EINTR);
+    if (fd < 0) {
+      return Status::NotFound("cannot open file: " + path);
+    }
+  }
+  std::string text;
+  char buffer[64 * 1024];
+  IoResult got;
+  while ((got = ReadFd(fd, buffer, sizeof(buffer))).state == IoState::kOk) {
+    text.append(buffer, got.bytes);
+  }
+  if (!from_stdin) {
+    CloseFd(fd);
+  }
+  if (got.state != IoState::kClosed) {
+    return Status::Internal("read failed on " + path);
+  }
+  return text;
+}
+
 Result<int> ListenLoopback(int port, int* bound_port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {

@@ -72,6 +72,11 @@ void IgnoreSigpipe();
 /// descriptor is never reused concurrently here).
 void CloseFd(int fd);
 
+/// Reads a whole file, or stdin for "-", through ReadFd, so a signal landing
+/// mid-read retries instead of truncating the input. NotFound when the file
+/// cannot be opened.
+Result<std::string> SlurpFile(const std::string& path);
+
 /// Creates a non-blocking loopback listener on `port` (0 = kernel-assigned)
 /// with SO_REUSEADDR. Returns the listening fd; `*bound_port` receives the
 /// actual port.

@@ -26,7 +26,7 @@
 ///              taxonomy
 ///   svc/       solver service layer: unified backend registry, bounded job
 ///              scheduler with portfolio racing, retry/fallback resilience,
-///              instance result cache
+///              instance result cache, the serve front-end
 ///   net/       poll-based TCP/JSONL serving: EINTR-safe socket wrappers,
 ///              newline framing, coalescing write buffers, the
 ///              single-threaded multiplexed server event loop
@@ -94,6 +94,7 @@
 #include "net/io.h"
 #include "net/server.h"
 #include "svc/cache.h"
+#include "svc/frontend.h"
 #include "svc/graph_hash.h"
 #include "svc/registry.h"
 #include "svc/request.h"

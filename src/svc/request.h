@@ -3,9 +3,9 @@
 
 /// \file
 /// The JSONL request wire format shared by every qplex_serve ingress path.
-/// ParseRequestLine is the single entry point: the stdin/file batch mode and
-/// the --listen socket mode both hand raw request lines here, so a malformed
-/// line produces the identical error text no matter how it arrived.
+/// ParseRequestLine is the single entry point: svc::FrontEnd hands it every
+/// line from a job file, stdin or a connection, so a malformed line produces
+/// the identical error text no matter how it arrived.
 ///
 /// One JSON object per line:
 ///
@@ -25,9 +25,9 @@ namespace qplex::svc {
 
 /// What a request line asks for. Solve lines carry a graph and run through
 /// the scheduler; health lines ({"type": "health", "id": ...}) are answered
-/// in place by the socket front-end with breaker/queue/shed state and are
-/// rejected in batch mode, whose journal byte-identity contract
-/// (record/replay, --resume) has no room for load-dependent lines.
+/// in place on a connection with breaker/queue/shed state and are rejected
+/// in job files, whose journal byte-identity contract (--resume) has no room
+/// for load-dependent lines.
 enum class RequestKind { kSolve, kHealth };
 
 /// One parsed request line: the scheduler request plus the racer list.

@@ -15,20 +15,14 @@
 #include <string>
 
 #include "obs/json.h"
+#include "scratch_dir.h"
 
 namespace qplex {
 namespace {
 
-std::filesystem::path TempDir() {
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "qplex_cli_smoke";
-  std::filesystem::create_directories(dir);
-  return dir;
-}
-
 std::filesystem::path WriteExampleGraph() {
   // Two K4 blocks joined by one edge; the maximum 2-plex is a K4 (size 4).
-  const std::filesystem::path path = TempDir() / "graph.el";
+  const std::filesystem::path path = ScratchDir() / "graph.el";
   std::ofstream out(path);
   out << "8\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n3 4\n4 5\n4 6\n5 6\n5 7\n6 7\n";
   return path;
@@ -65,7 +59,7 @@ std::string ReadFile(const std::filesystem::path& path) {
 
 TEST(CliSmokeTest, QmkpMetricsJsonIsParseableAndComplete) {
   const std::filesystem::path graph = WriteExampleGraph();
-  const std::filesystem::path report = TempDir() / "qmkp_report.json";
+  const std::filesystem::path report = ScratchDir() / "qmkp_report.json";
   const int exit_code =
       RunCli("--input " + graph.string() +
              " --format edgelist --algorithm qmkp --k 2 --seed 3" +
@@ -106,7 +100,7 @@ TEST(CliSmokeTest, QmkpMetricsJsonIsParseableAndComplete) {
 
 TEST(CliSmokeTest, MetricsJsonWorksForClassicalBackend) {
   const std::filesystem::path graph = WriteExampleGraph();
-  const std::filesystem::path report = TempDir() / "bs_report.json";
+  const std::filesystem::path report = ScratchDir() / "bs_report.json";
   const int exit_code = RunCli("--input " + graph.string() +
                                " --format edgelist --algorithm bs --k 2" +
                                " --metrics-json " + report.string());
@@ -121,7 +115,7 @@ TEST(CliSmokeTest, MetricsJsonWorksForClassicalBackend) {
 
 TEST(CliSmokeTest, ThreadsFlagReachesSimulatorAndReport) {
   const std::filesystem::path graph = WriteExampleGraph();
-  const std::filesystem::path report = TempDir() / "threads_report.json";
+  const std::filesystem::path report = ScratchDir() / "threads_report.json";
   const int exit_code =
       RunCli("--input " + graph.string() +
              " --format edgelist --algorithm qmkp --k 2 --seed 3 --threads 2" +
@@ -161,7 +155,7 @@ TEST(CliSmokeTest, RejectsMalformedNumericFlags) {
 
 TEST(CliSmokeTest, SolvesWithoutMetricsFlagUnchanged) {
   const std::filesystem::path graph = WriteExampleGraph();
-  const std::filesystem::path out = TempDir() / "plain.out";
+  const std::filesystem::path out = ScratchDir() / "plain.out";
   const int exit_code = RunCli("--input " + graph.string() +
                                    " --format edgelist --algorithm bs --k 2",
                                out.string());
@@ -172,7 +166,7 @@ TEST(CliSmokeTest, SolvesWithoutMetricsFlagUnchanged) {
 
 TEST(CliSmokeTest, EventsToStdoutEmitsParseableHeartbeats) {
   const std::filesystem::path graph = WriteExampleGraph();
-  const std::filesystem::path out = TempDir() / "events.out";
+  const std::filesystem::path out = ScratchDir() / "events.out";
   const int exit_code =
       RunCli("--input " + graph.string() +
                  " --format edgelist --algorithm qamkp --k 2 --events -",
@@ -224,8 +218,8 @@ TEST(CliSmokeTest, RejectsBadProgressInterval) {
 
 TEST(CliSmokeTest, UnwritableMetricsPathStillPrintsSolution) {
   const std::filesystem::path graph = WriteExampleGraph();
-  const std::filesystem::path out = TempDir() / "unwritable.out";
-  const std::filesystem::path err = TempDir() / "unwritable.err";
+  const std::filesystem::path out = ScratchDir() / "unwritable.out";
+  const std::filesystem::path err = ScratchDir() / "unwritable.err";
   const std::string bad_report = "/nonexistent_qplex_dir/report.json";
   const int exit_code =
       RunCli("--input " + graph.string() +
@@ -242,7 +236,7 @@ TEST(CliSmokeTest, UnwritableMetricsPathStillPrintsSolution) {
 /// Writes a minimal run-report JSON fixture with one counter value.
 std::filesystem::path WriteFixtureReport(const std::string& name,
                                          int oracle_calls) {
-  const std::filesystem::path path = TempDir() / name;
+  const std::filesystem::path path = ScratchDir() / name;
   std::ofstream out(path);
   out << "{\"report\": \"fixture\", \"schema_version\": 1, "
          "\"counters\": {\"oracle.calls\": "
@@ -255,7 +249,7 @@ TEST(CliSmokeTest, BenchdiffPassesOnIdenticalReports) {
       WriteFixtureReport("diff_base.json", 10);
   const std::filesystem::path candidate =
       WriteFixtureReport("diff_same.json", 10);
-  const std::filesystem::path out = TempDir() / "diff_clean.out";
+  const std::filesystem::path out = ScratchDir() / "diff_clean.out";
   const int exit_code = RunBinary(
       QPLEX_BENCHDIFF_PATH,
       "--baseline " + baseline.string() + " --candidate " + candidate.string(),
@@ -269,7 +263,7 @@ TEST(CliSmokeTest, BenchdiffFailsOnCountRegression) {
       WriteFixtureReport("diff_base2.json", 10);
   const std::filesystem::path candidate =
       WriteFixtureReport("diff_regressed.json", 12);
-  const std::filesystem::path out = TempDir() / "diff_regressed.out";
+  const std::filesystem::path out = ScratchDir() / "diff_regressed.out";
   const int exit_code = RunBinary(
       QPLEX_BENCHDIFF_PATH,
       "--baseline " + baseline.string() + " --candidate " + candidate.string(),

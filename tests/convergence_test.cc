@@ -20,15 +20,13 @@
 #include "obs/events.h"
 #include "svc/registry.h"
 #include "svc/scheduler.h"
+#include "scratch_dir.h"
 
 namespace qplex::svc {
 namespace {
 
 std::filesystem::path EventsPath(const std::string& name) {
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "qplex_convergence_test";
-  std::filesystem::create_directories(dir);
-  return dir / name;
+  return ScratchDir() / name;
 }
 
 // Two K4 blocks joined by one edge; the maximum 2-plex is a K4 (size 4).

@@ -10,6 +10,7 @@
 #include "graph/instances.h"
 #include "graph/io.h"
 #include "graph/kplex.h"
+#include "scratch_dir.h"
 
 namespace qplex {
 namespace {
@@ -369,8 +370,7 @@ TEST(IoTest, DimacsDeduplicatesRepeatedEdges) {
 }
 
 TEST(IoTest, LoadMalformedEdgeListFileFails) {
-  const std::filesystem::path path =
-      std::filesystem::temp_directory_path() / "qplex_malformed.el";
+  const std::filesystem::path path = ScratchDir() / "malformed.el";
   {
     std::ofstream out(path);
     out << "5\n0 1\n3 3\n1 2\n";

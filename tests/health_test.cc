@@ -28,6 +28,7 @@
 #include "svc/registry.h"
 #include "svc/scheduler.h"
 #include "svc/solver.h"
+#include "scratch_dir.h"
 
 namespace qplex::svc {
 namespace {
@@ -553,10 +554,7 @@ TEST(SchedulerWatchdogTest, SolverStallFaultSiteWedgesBuiltinBackend) {
 // --- Event-stream validation and the deterministic health report -------------
 
 std::filesystem::path HealthEventsPath(const std::string& name) {
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "qplex_health_test";
-  std::filesystem::create_directories(dir);
-  return dir / name;
+  return ScratchDir() / name;
 }
 
 /// One seeded single-worker chaos batch exercising trip, short-circuit,

@@ -22,6 +22,7 @@
 #include "obs/reqtrace.h"
 #include "obs/run_report.h"
 #include "obs/trace.h"
+#include "scratch_dir.h"
 
 namespace qplex::obs {
 namespace {
@@ -428,10 +429,7 @@ TEST(JsonTest, RejectsTrailingGarbageAfterAnyDocumentKind) {
 // --- Events ------------------------------------------------------------------
 
 std::filesystem::path EventsTempPath(const std::string& name) {
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "qplex_obs_test";
-  std::filesystem::create_directories(dir);
-  return dir / name;
+  return ScratchDir() / name;
 }
 
 std::vector<JsonValue> ReadJsonlFile(const std::filesystem::path& path) {

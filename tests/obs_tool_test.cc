@@ -24,16 +24,10 @@
 
 #include "obs/json.h"
 #include "obs/openmetrics.h"
+#include "scratch_dir.h"
 
 namespace qplex {
 namespace {
-
-std::filesystem::path TempDir() {
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "qplex_obs_tool_test";
-  std::filesystem::create_directories(dir);
-  return dir;
-}
 
 int RunBinary(const std::string& binary, const std::string& args) {
   const std::string command = binary + " " + args + " >/dev/null 2>/dev/null";
@@ -64,7 +58,7 @@ const char* kTwoBlockGraph =
     "[4,6],[5,6],[5,7],[6,7]]}";
 
 std::filesystem::path WriteChaosBatch() {
-  const std::filesystem::path path = TempDir() / "chaos_batch.jsonl";
+  const std::filesystem::path path = ScratchDir() / "chaos_batch.jsonl";
   std::ofstream out(path);
   for (int i = 0; i < 10; ++i) {
     out << R"({"id":"c)" << i << R"(","k":2,"backend":)"
@@ -86,10 +80,10 @@ struct ChaosArtifacts {
 /// every observability artifact the analyzer consumes.
 ChaosArtifacts RunChaosServe(const std::string& tag) {
   ChaosArtifacts artifacts;
-  artifacts.events = TempDir() / ("events_" + tag + ".jsonl");
-  artifacts.journal = TempDir() / ("journal_" + tag + ".jsonl");
-  artifacts.prom = TempDir() / ("metrics_" + tag + ".prom");
-  artifacts.metrics_json = TempDir() / ("metrics_" + tag + ".json");
+  artifacts.events = ScratchDir() / ("events_" + tag + ".jsonl");
+  artifacts.journal = ScratchDir() / ("journal_" + tag + ".jsonl");
+  artifacts.prom = ScratchDir() / ("metrics_" + tag + ".prom");
+  artifacts.metrics_json = ScratchDir() / ("metrics_" + tag + ".json");
   const std::filesystem::path jobs = WriteChaosBatch();
   const int exit_code = RunServe(
       "--jobs " + jobs.string() +
@@ -107,14 +101,14 @@ TEST(ObsToolTest, ChaosRunAnalyzesCleanAndDeterministic) {
   const ChaosArtifacts run_b = RunChaosServe("b");
 
   auto analyze = [](const ChaosArtifacts& artifacts, const std::string& tag) {
-    const std::filesystem::path tree = TempDir() / ("tree_" + tag + ".txt");
+    const std::filesystem::path tree = ScratchDir() / ("tree_" + tag + ".txt");
     const std::filesystem::path folded =
-        TempDir() / ("folded_" + tag + ".txt");
+        ScratchDir() / ("folded_" + tag + ".txt");
     const std::filesystem::path latency =
-        TempDir() / ("latency_" + tag + ".txt");
-    const std::filesystem::path slo = TempDir() / ("slo_" + tag + ".txt");
+        ScratchDir() / ("latency_" + tag + ".txt");
+    const std::filesystem::path slo = ScratchDir() / ("slo_" + tag + ".txt");
     const std::filesystem::path convergence =
-        TempDir() / ("convergence_" + tag + ".txt");
+        ScratchDir() / ("convergence_" + tag + ".txt");
     const int exit_code = RunObs(
         "--events " + artifacts.events.string() + " --journal " +
         artifacts.journal.string() + " --check-metrics " +
@@ -208,7 +202,7 @@ TEST(ObsToolTest, JournalMismatchAndOrphansFailTheRun) {
   const ChaosArtifacts run = RunChaosServe("fail");
 
   // A forged journal entry that never completed in the event stream.
-  const std::filesystem::path forged = TempDir() / "forged_journal.jsonl";
+  const std::filesystem::path forged = ScratchDir() / "forged_journal.jsonl";
   std::ofstream(forged) << ReadFile(run.journal)
                         << R"({"label":"ghost","status":"OK"})" << "\n";
   EXPECT_EQ(RunObs("--events " + run.events.string() + " --journal " +
@@ -216,7 +210,7 @@ TEST(ObsToolTest, JournalMismatchAndOrphansFailTheRun) {
             1);
 
   // An orphan span (parent id absent from its trace) under --fail-on-orphans.
-  const std::filesystem::path orphaned = TempDir() / "orphaned_events.jsonl";
+  const std::filesystem::path orphaned = ScratchDir() / "orphaned_events.jsonl";
   std::ofstream(orphaned)
       << ReadFile(run.events)
       << R"({"ts_ms":9,"level":"debug","solver":"trace","event":"span",)"
@@ -228,7 +222,7 @@ TEST(ObsToolTest, JournalMismatchAndOrphansFailTheRun) {
   EXPECT_EQ(RunObs("--events " + orphaned.string()), 0);
 
   // A structurally broken exposition fails the metrics check.
-  const std::filesystem::path bad_prom = TempDir() / "bad.prom";
+  const std::filesystem::path bad_prom = ScratchDir() / "bad.prom";
   std::ofstream(bad_prom) << "qplex_no_type_total 3\n# EOF\n";
   EXPECT_EQ(RunObs("--events " + run.events.string() + " --check-metrics " +
                    bad_prom.string()),

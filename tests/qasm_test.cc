@@ -7,6 +7,7 @@
 #include "graph/instances.h"
 #include "grover/full_circuit.h"
 #include "quantum/qasm.h"
+#include "scratch_dir.h"
 
 namespace qplex {
 namespace {
@@ -68,7 +69,7 @@ TEST(QasmTest, WriteFile) {
   Circuit circuit;
   circuit.AllocateQubit("q");
   circuit.Append(MakeH(0));
-  const std::string path = "/tmp/qplex_qasm_test.qasm";
+  const std::string path = (ScratchDir() / "test.qasm").string();
   ASSERT_TRUE(WriteQasm3File(circuit, path).ok());
   std::ifstream in(path);
   std::string line;

@@ -28,16 +28,10 @@
 #include "graph/graph.h"
 #include "graph/kplex.h"
 #include "obs/json.h"
+#include "scratch_dir.h"
 
 namespace qplex {
 namespace {
-
-std::filesystem::path TempDir() {
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "qplex_serve_smoke";
-  std::filesystem::create_directories(dir);
-  return dir;
-}
 
 int RunBinary(const std::string& binary, const std::string& args,
               const std::string& stdout_path = "",
@@ -79,7 +73,7 @@ const char* kChordedCycleGraph =
 /// hits; pf-1/pf-2 are portfolio jobs whose winning *member set* may depend
 /// on race timing (size may not — both racers are exact on these instances).
 std::filesystem::path WriteMixedBatch() {
-  const std::filesystem::path path = TempDir() / "mixed_batch.jsonl";
+  const std::filesystem::path path = ScratchDir() / "mixed_batch.jsonl";
   std::ofstream out(path);
   const std::string block = kTwoBlockGraph;
   const std::string cycle = kChordedCycleGraph;
@@ -175,7 +169,8 @@ BatchRun ParseEvents(const std::filesystem::path& events_path) {
 
 BatchRun RunMixedBatch(const std::filesystem::path& jobs, int workers,
                        const std::string& tag) {
-  const std::filesystem::path events = TempDir() / ("events_" + tag + ".jsonl");
+  const std::filesystem::path events =
+      ScratchDir() / ("events_" + tag + ".jsonl");
   const int exit_code =
       RunServe("--jobs " + jobs.string() + " --workers " +
                std::to_string(workers) + " --events " + events.string());
@@ -246,7 +241,7 @@ TEST(ServeSmokeTest, SolvesBeyond64VerticesThroughClassicalBackends) {
   }
   graph_json << "]}";
 
-  const std::filesystem::path jobs = TempDir() / "wide_batch.jsonl";
+  const std::filesystem::path jobs = ScratchDir() / "wide_batch.jsonl";
   {
     std::ofstream out(jobs);
     out << R"({"id":"wide-bs","k":2,"backend":"bs","graph":)"
@@ -254,7 +249,7 @@ TEST(ServeSmokeTest, SolvesBeyond64VerticesThroughClassicalBackends) {
         << R"({"id":"wide-grasp","k":2,"backend":"grasp","seed":5,"graph":)"
         << graph_json.str() << "}\n";
   }
-  const std::filesystem::path events = TempDir() / "events_wide.jsonl";
+  const std::filesystem::path events = ScratchDir() / "events_wide.jsonl";
   const int exit_code =
       RunServe("--jobs " + jobs.string() + " --events " + events.string());
   EXPECT_EQ(exit_code, 0);
@@ -280,7 +275,7 @@ TEST(ServeSmokeTest, SolvesBeyond64VerticesThroughClassicalBackends) {
 
 TEST(ServeSmokeTest, CacheOffForcesEveryJobToExecute) {
   const std::filesystem::path jobs = WriteMixedBatch();
-  const std::filesystem::path events = TempDir() / "events_nocache.jsonl";
+  const std::filesystem::path events = ScratchDir() / "events_nocache.jsonl";
   const int exit_code = RunServe("--jobs " + jobs.string() +
                                  " --workers 2 --cache off --events " +
                                  events.string());
@@ -296,7 +291,7 @@ TEST(ServeSmokeTest, MillisecondDeadlineSurfacesAsDeadlineExceeded) {
   // A 26-vertex circulant graph: full enumeration scans 2^26 subsets, far
   // beyond a 1 ms budget, so the job must end DeadlineExceeded (and the
   // batch still exits 0 — per-job failures are data, not infra errors).
-  const std::filesystem::path jobs = TempDir() / "deadline_batch.jsonl";
+  const std::filesystem::path jobs = ScratchDir() / "deadline_batch.jsonl";
   {
     std::ofstream out(jobs);
     out << R"({"id":"slow","k":2,"backend":"enum","deadline_ms":1,)"
@@ -311,7 +306,7 @@ TEST(ServeSmokeTest, MillisecondDeadlineSurfacesAsDeadlineExceeded) {
     }
     out << "]}}\n";
   }
-  const std::filesystem::path events = TempDir() / "events_deadline.jsonl";
+  const std::filesystem::path events = ScratchDir() / "events_deadline.jsonl";
   const int exit_code =
       RunServe("--jobs " + jobs.string() + " --events " + events.string());
   ASSERT_EQ(exit_code, 0);
@@ -323,7 +318,7 @@ TEST(ServeSmokeTest, MillisecondDeadlineSurfacesAsDeadlineExceeded) {
 
 TEST(ServeSmokeTest, MetricsJsonCarriesServiceCounters) {
   const std::filesystem::path jobs = WriteMixedBatch();
-  const std::filesystem::path report = TempDir() / "serve_report.json";
+  const std::filesystem::path report = ScratchDir() / "serve_report.json";
   const int exit_code = RunServe("--jobs " + jobs.string() +
                                  " --metrics-json " + report.string());
   ASSERT_EQ(exit_code, 0);
@@ -344,11 +339,11 @@ TEST(ServeSmokeTest, MetricsJsonCarriesServiceCounters) {
 }
 
 TEST(ServeSmokeTest, MalformedInputsExitTwo) {
-  const std::filesystem::path bad_json = TempDir() / "bad.jsonl";
+  const std::filesystem::path bad_json = ScratchDir() / "bad.jsonl";
   std::ofstream(bad_json) << "{\"id\":\"x\",\"k\":2\n";  // truncated JSON
   EXPECT_EQ(RunServe("--jobs " + bad_json.string()), 2);
 
-  const std::filesystem::path bad_backend = TempDir() / "bad_backend.jsonl";
+  const std::filesystem::path bad_backend = ScratchDir() / "bad_backend.jsonl";
   std::ofstream(bad_backend) << R"({"id":"x","k":2,"backend":"nope",)"
                              << R"("graph":{"n":2,"edges":[[0,1]]}})" << "\n";
   EXPECT_EQ(RunServe("--jobs " + bad_backend.string()), 2);
@@ -358,6 +353,23 @@ TEST(ServeSmokeTest, MalformedInputsExitTwo) {
   EXPECT_EQ(RunServe("--jobs x --workers 0"), 2);
   EXPECT_EQ(RunServe("--jobs x --workers junk"), 2);
   EXPECT_EQ(RunServe("--jobs x --cache maybe"), 2);
+}
+
+TEST(ServeSmokeTest, UnknownBackendIsRejectedBeforeAnyJobRuns) {
+  // The job file is validated as a whole at load: a bad backend on line 2
+  // exits 2 before line 1's job is submitted, journaled or even started.
+  const std::filesystem::path jobs = ScratchDir() / "late_bad_backend.jsonl";
+  std::ofstream(jobs) << R"({"id":"ok","k":2,"backend":"bs","graph":)"
+                      << kTwoBlockGraph << "}\n"
+                      << R"({"id":"x","k":2,"backend":"nope","graph":)"
+                      << kTwoBlockGraph << "}\n";
+  const std::filesystem::path events = ScratchDir() / "events_rejected.jsonl";
+  const std::filesystem::path journal = ScratchDir() / "journal_rejected.jsonl";
+  EXPECT_EQ(RunServe("--jobs " + jobs.string() + " --events " +
+                     events.string() + " --journal " + journal.string()),
+            2);
+  EXPECT_EQ(ReadFile(events).find("job_start"), std::string::npos);
+  EXPECT_TRUE(ReadFile(journal).empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -383,9 +395,9 @@ TEST(ServeChaosTest, FaultInjectedBatchIsTerminalAndDeterministic) {
   const std::filesystem::path jobs = WriteMixedBatch();
   auto chaos_run = [&](const std::string& tag) {
     const std::filesystem::path events =
-        TempDir() / ("events_chaos_" + tag + ".jsonl");
+        ScratchDir() / ("events_chaos_" + tag + ".jsonl");
     const std::filesystem::path journal =
-        TempDir() / ("journal_chaos_" + tag + ".jsonl");
+        ScratchDir() / ("journal_chaos_" + tag + ".jsonl");
     const int exit_code = RunServe(
         "--jobs " + jobs.string() +
         " --workers 1 --fault-spec solver_throw:0.3:7 --journal " +
@@ -413,7 +425,7 @@ TEST(ServeChaosTest, SigtermThenResumeReplaysToByteIdenticalJournal) {
   // second run is SIGTERMed mid-batch (exit 0, clean WAL prefix), then
   // --resume must finish the remainder and leave the journal byte-identical
   // to the reference.
-  const std::filesystem::path jobs = TempDir() / "resume_batch.jsonl";
+  const std::filesystem::path jobs = ScratchDir() / "resume_batch.jsonl";
   {
     std::ofstream out(jobs);
     for (int i = 0; i < 36; ++i) {
@@ -424,14 +436,15 @@ TEST(ServeChaosTest, SigtermThenResumeReplaysToByteIdenticalJournal) {
     }
   }
 
-  const std::filesystem::path reference = TempDir() / "journal_reference.jsonl";
+  const std::filesystem::path reference =
+      ScratchDir() / "journal_reference.jsonl";
   ASSERT_EQ(RunServe("--jobs " + jobs.string() + " --workers 1 --journal " +
                      reference.string()),
             0);
   ASSERT_EQ(CountLines(reference), 36);
 
   // Interrupted run: spawn the server, wait for >= 3 journaled jobs, SIGTERM.
-  const std::filesystem::path journal = TempDir() / "journal_resume.jsonl";
+  const std::filesystem::path journal = ScratchDir() / "journal_resume.jsonl";
   std::filesystem::remove(journal);
   const std::vector<std::string> args = {
       "--jobs",    jobs.string(), "--workers", "1",
@@ -478,9 +491,10 @@ TEST(ServeChaosTest, SigtermThenResumeReplaysToByteIdenticalJournal) {
 
 TEST(ServeChaosTest, AdmissionBackoffAbsorbsQueuePressure) {
   // One worker, queue capacity 1: most submissions bounce off the admission
-  // bound. The serve loop must absorb every rejection with backoff + drain
-  // (exit 0, all jobs solved) and record the waits it imposed.
-  const std::filesystem::path jobs = TempDir() / "pressure_batch.jsonl";
+  // bound. The job file must absorb every rejection by waiting in the
+  // backlog for completions (exit 0, all jobs solved), and since its lines
+  // are pulled only while the backlog has room, none of them is shed.
+  const std::filesystem::path jobs = ScratchDir() / "pressure_batch.jsonl";
   {
     std::ofstream out(jobs);
     for (int i = 0; i < 8; ++i) {
@@ -490,8 +504,8 @@ TEST(ServeChaosTest, AdmissionBackoffAbsorbsQueuePressure) {
           << "}\n";
     }
   }
-  const std::filesystem::path report = TempDir() / "pressure_report.json";
-  const std::filesystem::path events = TempDir() / "events_pressure.jsonl";
+  const std::filesystem::path report = ScratchDir() / "pressure_report.json";
+  const std::filesystem::path events = ScratchDir() / "events_pressure.jsonl";
   ASSERT_EQ(RunServe("--jobs " + jobs.string() +
                      " --workers 1 --queue-cap 1 --metrics-json " +
                      report.string() + " --events " + events.string()),
@@ -506,11 +520,8 @@ TEST(ServeChaosTest, AdmissionBackoffAbsorbsQueuePressure) {
   ASSERT_NE(counters, nullptr);
   ASSERT_NE(counters->Find("svc.jobs.rejected"), nullptr);
   EXPECT_GE(counters->Find("svc.jobs.rejected")->AsInt(), 1);
-  const obs::JsonValue* histograms = parsed.value().Find("histograms");
-  ASSERT_NE(histograms, nullptr);
-  const obs::JsonValue* backoff = histograms->Find("svc.admission.backoff_ms");
-  ASSERT_NE(backoff, nullptr);
-  EXPECT_GE(backoff->Find("count")->AsInt(), 1);
+  const obs::JsonValue* shed = counters->Find("svc.admission.shed");
+  EXPECT_TRUE(shed == nullptr || shed->AsInt() == 0);
 }
 
 }  // namespace

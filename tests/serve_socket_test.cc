@@ -2,12 +2,17 @@
 // multiplexed onto one scheduler with per-client response routing, the
 // record/replay determinism contract (byte-identical --journal), per-request
 // errors for malformed lines on a surviving connection, oversize-line
-// rejection, and the graceful SIGTERM drain (in-flight responses all arrive,
-// exit code 0). Server and client binary paths are injected by CMake as
-// QPLEX_SERVE_PATH / QPLEX_CLIENT_PATH.
+// rejection, the graceful SIGTERM drain (in-flight responses all arrive,
+// exit code 0), pipelined clients and a mid-stream disconnect under throw
+// chaos, periodic OpenMetrics snapshots, and the shared-path contract: a job
+// file and a lockstep connection journal byte-identically, through the
+// binaries and in-process through svc::FrontEnd. Binary paths are injected
+// by CMake as QPLEX_SERVE_PATH / QPLEX_CLIENT_PATH / QPLEX_OBS_PATH.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <csignal>
 #include <cstdlib>
 #include <filesystem>
@@ -24,14 +29,17 @@
 #include "net/frame.h"
 #include "net/io.h"
 #include "obs/json.h"
+#include "obs/openmetrics.h"
+#include "svc/frontend.h"
+#include "svc/registry.h"
+#include "svc/scheduler.h"
+#include "scratch_dir.h"
 
 namespace qplex {
 namespace {
 
 std::filesystem::path TempDir(const std::string& name) {
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "qplex_serve_socket" / name;
-  std::filesystem::remove_all(dir);
+  const std::filesystem::path dir = ScratchDir() / name;
   std::filesystem::create_directories(dir);
   return dir;
 }
@@ -442,6 +450,212 @@ TEST(ServeSocketTest, ListenAndJobsFlagsAreExclusive) {
                               " --listen 0 --jobs - >/dev/null 2>/dev/null";
   const int raw = std::system(command.c_str());
   EXPECT_EQ(WIFEXITED(raw) ? WEXITSTATUS(raw) : -1, 2);
+}
+
+/// Parses every line of a JSONL file into objects, skipping anything else.
+std::vector<obs::JsonValue> JsonLines(const std::filesystem::path& path) {
+  std::vector<obs::JsonValue> lines;
+  std::istringstream in(ReadFile(path));
+  std::string line;
+  while (std::getline(in, line)) {
+    Result<obs::JsonValue> parsed = obs::JsonValue::Parse(line);
+    if (parsed.ok() && parsed.value().is_object()) {
+      lines.push_back(std::move(parsed).value());
+    }
+  }
+  return lines;
+}
+
+TEST(ServeSocketTest, PipelinedClientsAndADisconnectSurviveThrowChaos) {
+  const std::filesystem::path dir = TempDir("chaos");
+  const std::filesystem::path requests = WriteRequests(dir, 24);
+  const std::filesystem::path chaff = dir / "chaff.jsonl";
+  {
+    std::ofstream out(chaff);
+    for (int i = 0; i < 6; ++i) {
+      out << "{\"id\":\"chaff-" << i
+          << "\",\"k\":2,\"backend\":\"grasp\",\"seed\":" << 100 + i
+          << ",\"graph\":" << kBlockGraph << "}\n";
+    }
+  }
+  const std::filesystem::path events = dir / "events.jsonl";
+  // A quarter of all backend executions throw; six retries make a job
+  // failing outright a rare event, so every job must end OK.
+  ServeProcess serve(dir, "--fault-spec solver_throw:0.25:7 --max-retries 6 "
+                          "--events " + events.string());
+  ASSERT_GT(serve.port(), 0) << ReadFile(dir / "serve.err");
+  const std::string port = std::to_string(serve.port());
+
+  const std::filesystem::path conns = dir / "conns";
+  std::filesystem::create_directories(conns);
+  int pipelined_exit = -1;
+  std::thread pipelined([&] {
+    pipelined_exit = RunClient("--port " + port + " --requests " +
+                               requests.string() +
+                               " --connections 3 --mode pipeline --out-dir " +
+                               conns.string());
+  });
+  // This client hangs up after 2 of its 6 requests without reading any
+  // response; the two it sent still run and journal.
+  EXPECT_EQ(RunClient("--port " + port + " --requests " + chaff.string() +
+                      " --mode pipeline --disconnect-after 2 --out " +
+                      (dir / "chaff_responses.jsonl").string()),
+            0);
+  pipelined.join();
+  EXPECT_EQ(pipelined_exit, 0);
+  ASSERT_EQ(serve.Stop(), 0);
+
+  // Every admitted job is journaled exactly once, and OK.
+  std::vector<std::string> journaled;
+  for (const obs::JsonValue& entry : JsonLines(dir / "journal.jsonl")) {
+    journaled.push_back(entry.Find("label")->AsString());
+    EXPECT_EQ(entry.Find("status")->AsString(), "OK") << journaled.back();
+  }
+  std::set<std::string> expected = {"chaff-0", "chaff-1"};
+  for (int i = 0; i < 24; ++i) {
+    expected.insert("job-" + std::to_string(i));
+  }
+  EXPECT_EQ(journaled.size(), expected.size());
+  EXPECT_EQ(std::set<std::string>(journaled.begin(), journaled.end()),
+            expected);
+
+  // Each connection gets exactly its own labels, in completion order.
+  for (int c = 0; c < 3; ++c) {
+    std::vector<std::string> labels = Labels(
+        ReadFile(conns / ("conn-" + std::to_string(c) + ".jsonl")));
+    std::vector<std::string> own;
+    for (int i = c; i < 24; i += 3) {
+      own.push_back("job-" + std::to_string(i));
+    }
+    std::sort(labels.begin(), labels.end());
+    std::sort(own.begin(), own.end());
+    EXPECT_EQ(labels, own) << "connection " << c;
+  }
+
+  std::set<std::string> kinds;
+  int retries = 0;
+  for (const obs::JsonValue& event : JsonLines(events)) {
+    if (const obs::JsonValue* name = event.Find("event"); name != nullptr) {
+      kinds.insert(name->AsString());
+      retries += name->AsString() == "job_retry" ? 1 : 0;
+    }
+  }
+  EXPECT_TRUE(kinds.count("listening") && kinds.count("draining"));
+  EXPECT_GE(retries, 1) << "the fault spec never fired";
+
+  const int analyzed = std::system(
+      (std::string(QPLEX_OBS_PATH) + " --events " + events.string() +
+       " --journal " + (dir / "journal.jsonl").string() +
+       " >/dev/null 2>&1")
+          .c_str());
+  EXPECT_EQ(WIFEXITED(analyzed) ? WEXITSTATUS(analyzed) : -1, 0);
+}
+
+TEST(ServeSocketTest, PeriodicPromSnapshotIsWrittenBeforeSigterm) {
+  const std::filesystem::path dir = TempDir("prom");
+  const std::filesystem::path prom = dir / "metrics.prom";
+  ServeProcess serve(dir, "--metrics-prom " + prom.string() +
+                              " --metrics-prom-interval-ms 50");
+  ASSERT_GT(serve.port(), 0) << ReadFile(dir / "serve.err");
+  for (int i = 0; i < 200 && !std::filesystem::exists(prom); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(25));
+  }
+  // Read while the server still runs: only the periodic snapshot can have
+  // written the file yet.
+  const std::string exposition = ReadFile(prom);
+  ASSERT_FALSE(exposition.empty());
+  EXPECT_TRUE(obs::CheckOpenMetrics(exposition).ok())
+      << obs::CheckOpenMetrics(exposition);
+  EXPECT_EQ(serve.Stop(), 0);
+}
+
+TEST(ServeSocketTest, JobFileAndLockstepConnectionJournalIdentically) {
+  const std::filesystem::path dir = TempDir("shared");
+  const std::filesystem::path file_journal = dir / "file.jsonl";
+  const int batch = std::system(
+      (std::string(QPLEX_SERVE_PATH) + " --jobs " + QPLEX_SERVICE_BATCH +
+       " --journal " + file_journal.string() + " >/dev/null 2>&1")
+          .c_str());
+  ASSERT_EQ(WIFEXITED(batch) ? WEXITSTATUS(batch) : -1, 0);
+
+  const std::filesystem::path conn_dir = TempDir("shared/conn");
+  {
+    ServeProcess serve(conn_dir);
+    ASSERT_GT(serve.port(), 0) << ReadFile(conn_dir / "serve.err");
+    ASSERT_EQ(RunClient("--port " + std::to_string(serve.port()) +
+                        " --requests " + QPLEX_SERVICE_BATCH + " --out " +
+                        (conn_dir / "responses.jsonl").string()),
+              0);
+    ASSERT_EQ(serve.Stop(), 0);
+  }
+  const std::string journal = ReadFile(file_journal);
+  EXPECT_EQ(Labels(journal).size(), 22u);
+  EXPECT_EQ(ReadFile(conn_dir / "journal.jsonl"), journal);
+}
+
+/// Sends every request line of `text` over one connection, one request in
+/// flight at a time.
+Status SendLockstep(int port, const std::string& text) {
+  QPLEX_ASSIGN_OR_RETURN(const int fd, net::ConnectLoopback(port));
+  net::FrameSplitter splitter;
+  std::istringstream lines(text);
+  std::string line;
+  Status status;
+  while (status.ok() && std::getline(lines, line)) {
+    if (!svc::IsSkippedLine(line)) {
+      status = SendAll(fd, line + "\n");
+      if (status.ok()) {
+        status = ReadLine(fd, splitter).status();
+      }
+    }
+  }
+  net::CloseFd(fd);
+  return status;
+}
+
+TEST(FrontEndTest, JobFileAndConnectionSourcesJournalIdentically) {
+  const std::string text = ReadFile(QPLEX_SERVICE_BATCH);
+  const svc::SolverRegistry registry = svc::MakeBuiltinRegistry();
+  svc::FrontEndOptions options;
+
+  std::ostringstream file_journal;
+  {
+    svc::JobScheduler scheduler(&registry);
+    svc::FrontEnd front_end(&scheduler, &file_journal, options);
+    Result<std::vector<svc::RequestSpec>> jobs =
+        svc::LoadJobFile(text, registry, options.queue_cap);
+    ASSERT_TRUE(jobs.ok()) << jobs.status();
+    front_end.AddJobs(std::move(jobs).value());
+    const Result<svc::FrontEndOutcome> served =
+        front_end.Run([] { return false; });
+    ASSERT_TRUE(served.ok()) << served.status();
+    EXPECT_EQ(served.value().failures, 0);
+    EXPECT_FALSE(served.value().interrupted);
+  }
+
+  std::ostringstream conn_journal;
+  {
+    svc::JobScheduler scheduler(&registry);
+    options.listen_port = 0;
+    svc::FrontEnd front_end(&scheduler, &conn_journal, options);
+    ASSERT_TRUE(front_end.Listen().ok());
+    std::atomic<bool> done{false};
+    Status lockstep;
+    std::thread client([&] {
+      lockstep = SendLockstep(front_end.port(), text);
+      done = true;
+    });
+    const Result<svc::FrontEndOutcome> served =
+        front_end.Run([&] { return done.load(); });
+    client.join();
+    ASSERT_TRUE(lockstep.ok()) << lockstep;
+    ASSERT_TRUE(served.ok()) << served.status();
+    EXPECT_EQ(served.value().requests, 22);
+    EXPECT_EQ(served.value().responses, 22);
+    EXPECT_EQ(served.value().failures, 0);
+  }
+  EXPECT_EQ(Labels(file_journal.str()).size(), 22u);
+  EXPECT_EQ(conn_journal.str(), file_journal.str());
 }
 
 }  // namespace

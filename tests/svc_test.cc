@@ -38,6 +38,7 @@
 #include "svc/registry.h"
 #include "svc/scheduler.h"
 #include "svc/solver.h"
+#include "scratch_dir.h"
 
 namespace qplex::svc {
 namespace {
@@ -871,10 +872,7 @@ TEST_F(SchedulerTest, TryWaitConsumesMergedPortfolioWinner) {
 // --- Request-scoped tracing through the scheduler ----------------------------
 
 std::filesystem::path SvcEventsPath(const std::string& name) {
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "qplex_svc_test";
-  std::filesystem::create_directories(dir);
-  return dir / name;
+  return ScratchDir() / name;
 }
 
 /// Records whether a request scope was active while the backend solved, and

@@ -41,7 +41,6 @@
 
 #include <cstring>
 #include <deque>
-#include <fcntl.h>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -178,43 +177,11 @@ Result<ClientOptions> ParseArgs(int argc, char** argv) {
   return options;
 }
 
-/// EINTR-safe whole-file slurp (stdin for "-").
-Result<std::string> SlurpFile(const std::string& path) {
-  int fd = 0;
-  if (path != "-") {
-    do {
-      fd = ::open(path.c_str(), O_RDONLY);
-    } while (fd < 0 && errno == EINTR);
-    if (fd < 0) {
-      return Status::NotFound("cannot open file: " + path);
-    }
-  }
-  std::string text;
-  char buffer[64 * 1024];
-  while (true) {
-    const net::IoResult got = net::ReadFd(fd, buffer, sizeof(buffer));
-    if (got.state == net::IoState::kClosed) {
-      break;
-    }
-    if (got.state != net::IoState::kOk) {
-      if (path != "-") {
-        net::CloseFd(fd);
-      }
-      return Status::Internal("read failed on " + path);
-    }
-    text.append(buffer, got.bytes);
-  }
-  if (path != "-") {
-    net::CloseFd(fd);
-  }
-  return text;
-}
-
 /// Loads request lines, skipping blanks and '#' comments — the same skip
 /// rule the server applies, so lockstep accounting (one response per sent
 /// line) stays balanced.
 Result<std::vector<std::string>> LoadRequestLines(const std::string& path) {
-  QPLEX_ASSIGN_OR_RETURN(const std::string text, SlurpFile(path));
+  QPLEX_ASSIGN_OR_RETURN(const std::string text, net::SlurpFile(path));
   std::vector<std::string> lines;
   std::istringstream in(text);
   std::string line;

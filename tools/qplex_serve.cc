@@ -17,64 +17,33 @@
 //               [--watchdog-stall-ms X] [--watchdog-poll-ms X]
 //               [--shed-target-ms X]
 //
-// Requests are one JSON object per line in both modes, parsed by the single
-// svc::ParseRequestLine entry point (see src/svc/request.h for the schema),
-// so a malformed line is rejected with identical error text whether it
-// arrived from a file or a socket. In batch mode a malformed line fails the
-// batch (exit 2); in socket mode it earns a per-request error response and
-// the connection lives on.
+// Both modes run through one svc::FrontEnd (src/svc/frontend.h), which owns
+// the request path — parse, admission backlog and shedding, completion
+// routing, the admission-ordered journal — and the two source policies. A
+// job file is validated before any job runs (a bad line exits 2) and is
+// never shed; SIGINT/SIGTERM cancels its in-flight jobs and stops the
+// journal. Each connection (--listen, port 0 = kernel-assigned, announced via
+// the "listening" event and --port-file) gets per-request error and shed
+// responses, and SIGINT/SIGTERM drains it gracefully: stop accepting, finish
+// admitted jobs, flush every response. This file parses flags, wires up the
+// event stream, journal and scheduler, and writes the summary and reports.
 //
-// Socket mode (--listen, port 0 = kernel-assigned, announced via the
-// "listening" event and --port-file): a single-threaded poll() event loop
-// (src/net/) accepts clients, frames their request lines, and submits each
-// to the scheduler; responses are routed back to the originating connection
-// as one JSON line per request, tagged with the client's request id.
-// Scheduler backpressure composes outward: admission-queue rejections park
-// requests in a bounded backlog, and past that the server sheds load with
-// per-request ResourceExhausted responses. SIGTERM/SIGINT performs the
-// graceful drain — stop accepting, finish in-flight jobs, flush every
-// response, close. A client disconnecting mid-stream degrades to a
-// per-connection error (SIGPIPE is ignored); its jobs still run and
-// journal, only the responses are dropped.
-//
-// Health (DESIGN.md section 15): --breaker-threshold N arms per-backend
-// circuit breakers (N consecutive counted failures open a backend;
-// --breaker-cooldown consultations later a half-open probe decides recovery),
-// --watchdog-stall-ms arms the wedged-job watchdog (an execution that stops
-// heartbeating for the budget is cancelled and falls back), and
-// --shed-target-ms arms adaptive admission control in socket mode (requests
-// are shed with a retry_after_ms hint once the smoothed queue delay runs past
-// the target). Socket clients can probe all of it in-band with
-// {"type": "health", "id": "..."} — answered immediately with breaker
-// states, queue depth, shed counts, and drain status; batch mode rejects
-// health lines to protect its byte-identical journal contract.
-//
-// Crash safety: --journal appends one timestamp-free JSON line per finished
-// job (the WAL), flushed line-by-line. Batch mode journals in submission
-// order and supports --resume (skip journaled jobs; byte-identical final
-// journal). Socket mode journals in *admission order* through a reorder
-// buffer, so a recorded connection script replayed in lockstep
-// (qplex_client --replay) produces a byte-identical journal to the run it
-// recorded. --fault-spec arms the deterministic fault injector (DESIGN.md
-// section 10).
+// --journal appends one timestamp-free JSON line per finished job (the WAL).
+// --resume skips a job file's journaled jobs for a byte-identical final
+// journal; for connections, a script recorded by qplex_client --record
+// replays to the same journal. Health (DESIGN.md section 15):
+// --breaker-threshold/--breaker-cooldown arm per-backend circuit breakers,
+// --watchdog-stall-ms the wedged-job watchdog, --shed-target-ms adaptive
+// shedding; clients probe them with {"type": "health", "id": "..."}.
+// --fault-spec arms the deterministic fault injector (DESIGN.md section 10).
 
-#include <atomic>
 #include <charconv>
-#include <chrono>
 #include <csignal>
-#include <cstdio>
-#include <deque>
-#include <fcntl.h>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <sstream>
 #include <string>
-#include <thread>
-#include <tuple>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -83,41 +52,33 @@
 namespace qplex {
 namespace {
 
-/// Set by the SIGINT/SIGTERM handler; polled by the batch loop, the socket
-/// event loop, and the cancellation watcher. Async-signal-safe by
-/// construction (one store).
+/// Set by the SIGINT/SIGTERM handler; the front-end's stop predicate reads
+/// it. Async-signal-safe by construction (one store).
 volatile std::sig_atomic_t g_signal = 0;
 
 void HandleSignal(int sig) { g_signal = sig; }
 
 struct ServeOptions {
-  std::string jobs;      // job file; "-" = stdin; empty in socket mode
-  int listen_port = -1;  // >= 0 enables socket mode (0 = kernel-assigned)
+  std::string jobs;  // job file; "-" = stdin; empty in socket mode
   int workers = 4;
-  int queue_cap = 64;
   std::string events = "-";
   bool cache = true;
   std::string metrics_json;
-  std::string metrics_prom;         // OpenMetrics exposition path
-  int metrics_prom_interval_ms = 0;  // >0 = periodic snapshots during batch
-  double slo_ms = 0;                 // >0 = per-job latency objective
+  double slo_ms = 0;  // >0 = per-job latency objective
   int progress_interval_ms = obs::EventSink::kDefaultProgressIntervalMs;
   std::string journal;       // WAL path; empty = no journaling
   bool resume = false;       // skip jobs already journaled (batch mode only)
   std::string fault_spec;    // forwarded to the global FaultInjector
   std::uint64_t max_sim_bytes = 0;  // 0 = keep the default budget
   int max_retries = 2;
-  // Socket-mode knobs.
-  int max_connections = 64;
-  int idle_timeout_ms = 0;  // 0 = connections never idle out
-  std::uint64_t max_line_bytes = net::FrameSplitter::kDefaultMaxLineBytes;
-  std::string port_file;  // written with the bound port once listening
   // Health-subsystem knobs (all off by default; DESIGN.md section 15).
   int breaker_threshold = 0;     // >0 arms per-backend circuit breakers
   int breaker_cooldown = 8;      // open -> half-open after N consults
   double watchdog_stall_ms = 0;  // >0 arms the wedged-job watchdog
   double watchdog_poll_ms = 5;   // watchdog scan cadence
-  double shed_target_ms = 0;     // >0 arms adaptive admission (socket mode)
+  // Admission, socket and OpenMetrics-snapshot knobs (--listen,
+  // --queue-cap, --shed-target-ms, ...), handed to the front-end as is.
+  svc::FrontEndOptions front_end;
 };
 
 void PrintUsage() {
@@ -174,6 +135,7 @@ Result<double> ParseFloat(const std::string& flag, const std::string& value) {
 
 Result<ServeOptions> ParseArgs(int argc, char** argv) {
   ServeOptions options;
+  svc::FrontEndOptions& front_end = options.front_end;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> Result<std::string> {
@@ -182,20 +144,25 @@ Result<ServeOptions> ParseArgs(int argc, char** argv) {
       }
       return std::string(argv[++i]);
     };
+    auto next_int = [&]() -> Result<int> {
+      QPLEX_ASSIGN_OR_RETURN(const std::string value, next());
+      return ParseInt<int>(arg, value);
+    };
+    auto next_float = [&]() -> Result<double> {
+      QPLEX_ASSIGN_OR_RETURN(const std::string value, next());
+      return ParseFloat(arg, value);
+    };
     if (arg == "--jobs") {
       QPLEX_ASSIGN_OR_RETURN(options.jobs, next());
     } else if (arg == "--listen") {
-      QPLEX_ASSIGN_OR_RETURN(std::string value, next());
-      QPLEX_ASSIGN_OR_RETURN(options.listen_port, ParseInt<int>(arg, value));
-      if (options.listen_port < 0 || options.listen_port > 65535) {
+      QPLEX_ASSIGN_OR_RETURN(front_end.listen_port, next_int());
+      if (front_end.listen_port < 0 || front_end.listen_port > 65535) {
         return Status::InvalidArgument("--listen port must be in [0, 65535]");
       }
     } else if (arg == "--workers") {
-      QPLEX_ASSIGN_OR_RETURN(std::string value, next());
-      QPLEX_ASSIGN_OR_RETURN(options.workers, ParseInt<int>(arg, value));
+      QPLEX_ASSIGN_OR_RETURN(options.workers, next_int());
     } else if (arg == "--queue-cap") {
-      QPLEX_ASSIGN_OR_RETURN(std::string value, next());
-      QPLEX_ASSIGN_OR_RETURN(options.queue_cap, ParseInt<int>(arg, value));
+      QPLEX_ASSIGN_OR_RETURN(front_end.queue_cap, next_int());
     } else if (arg == "--events") {
       QPLEX_ASSIGN_OR_RETURN(options.events, next());
     } else if (arg == "--cache") {
@@ -207,18 +174,13 @@ Result<ServeOptions> ParseArgs(int argc, char** argv) {
     } else if (arg == "--metrics-json") {
       QPLEX_ASSIGN_OR_RETURN(options.metrics_json, next());
     } else if (arg == "--metrics-prom") {
-      QPLEX_ASSIGN_OR_RETURN(options.metrics_prom, next());
+      QPLEX_ASSIGN_OR_RETURN(front_end.metrics_prom, next());
     } else if (arg == "--metrics-prom-interval-ms") {
-      QPLEX_ASSIGN_OR_RETURN(std::string value, next());
-      QPLEX_ASSIGN_OR_RETURN(options.metrics_prom_interval_ms,
-                             ParseInt<int>(arg, value));
+      QPLEX_ASSIGN_OR_RETURN(front_end.metrics_prom_interval_ms, next_int());
     } else if (arg == "--slo-ms") {
-      QPLEX_ASSIGN_OR_RETURN(std::string value, next());
-      QPLEX_ASSIGN_OR_RETURN(options.slo_ms, ParseFloat(arg, value));
+      QPLEX_ASSIGN_OR_RETURN(options.slo_ms, next_float());
     } else if (arg == "--progress-interval-ms") {
-      QPLEX_ASSIGN_OR_RETURN(std::string value, next());
-      QPLEX_ASSIGN_OR_RETURN(options.progress_interval_ms,
-                             ParseInt<int>(arg, value));
+      QPLEX_ASSIGN_OR_RETURN(options.progress_interval_ms, next_int());
     } else if (arg == "--journal") {
       QPLEX_ASSIGN_OR_RETURN(options.journal, next());
     } else if (arg == "--resume") {
@@ -238,49 +200,37 @@ Result<ServeOptions> ParseArgs(int argc, char** argv) {
         return Status::InvalidArgument("--max-sim-bytes must be >= 1");
       }
     } else if (arg == "--max-retries") {
-      QPLEX_ASSIGN_OR_RETURN(std::string value, next());
-      QPLEX_ASSIGN_OR_RETURN(options.max_retries, ParseInt<int>(arg, value));
+      QPLEX_ASSIGN_OR_RETURN(options.max_retries, next_int());
     } else if (arg == "--max-connections") {
-      QPLEX_ASSIGN_OR_RETURN(std::string value, next());
-      QPLEX_ASSIGN_OR_RETURN(options.max_connections,
-                             ParseInt<int>(arg, value));
+      QPLEX_ASSIGN_OR_RETURN(front_end.max_connections, next_int());
     } else if (arg == "--idle-timeout-ms") {
-      QPLEX_ASSIGN_OR_RETURN(std::string value, next());
-      QPLEX_ASSIGN_OR_RETURN(options.idle_timeout_ms,
-                             ParseInt<int>(arg, value));
+      QPLEX_ASSIGN_OR_RETURN(front_end.idle_timeout_ms, next_int());
     } else if (arg == "--max-line-bytes") {
       QPLEX_ASSIGN_OR_RETURN(std::string value, next());
-      QPLEX_ASSIGN_OR_RETURN(options.max_line_bytes,
-                             ParseInt<std::uint64_t>(arg, value));
-      if (options.max_line_bytes < 2) {
+      QPLEX_ASSIGN_OR_RETURN(front_end.max_line_bytes,
+                             ParseInt<std::size_t>(arg, value));
+      if (front_end.max_line_bytes < 2) {
         return Status::InvalidArgument("--max-line-bytes must be >= 2");
       }
     } else if (arg == "--port-file") {
-      QPLEX_ASSIGN_OR_RETURN(options.port_file, next());
+      QPLEX_ASSIGN_OR_RETURN(front_end.port_file, next());
     } else if (arg == "--breaker-threshold") {
-      QPLEX_ASSIGN_OR_RETURN(std::string value, next());
-      QPLEX_ASSIGN_OR_RETURN(options.breaker_threshold,
-                             ParseInt<int>(arg, value));
+      QPLEX_ASSIGN_OR_RETURN(options.breaker_threshold, next_int());
     } else if (arg == "--breaker-cooldown") {
-      QPLEX_ASSIGN_OR_RETURN(std::string value, next());
-      QPLEX_ASSIGN_OR_RETURN(options.breaker_cooldown,
-                             ParseInt<int>(arg, value));
+      QPLEX_ASSIGN_OR_RETURN(options.breaker_cooldown, next_int());
     } else if (arg == "--watchdog-stall-ms") {
-      QPLEX_ASSIGN_OR_RETURN(std::string value, next());
-      QPLEX_ASSIGN_OR_RETURN(options.watchdog_stall_ms, ParseFloat(arg, value));
+      QPLEX_ASSIGN_OR_RETURN(options.watchdog_stall_ms, next_float());
     } else if (arg == "--watchdog-poll-ms") {
-      QPLEX_ASSIGN_OR_RETURN(std::string value, next());
-      QPLEX_ASSIGN_OR_RETURN(options.watchdog_poll_ms, ParseFloat(arg, value));
+      QPLEX_ASSIGN_OR_RETURN(options.watchdog_poll_ms, next_float());
     } else if (arg == "--shed-target-ms") {
-      QPLEX_ASSIGN_OR_RETURN(std::string value, next());
-      QPLEX_ASSIGN_OR_RETURN(options.shed_target_ms, ParseFloat(arg, value));
+      QPLEX_ASSIGN_OR_RETURN(front_end.shed_target_ms, next_float());
     } else if (arg == "--help" || arg == "-h") {
       return Status::InvalidArgument("help requested");
     } else {
       return Status::InvalidArgument("unknown flag: " + arg);
     }
   }
-  const bool socket_mode = options.listen_port >= 0;
+  const bool socket_mode = front_end.listen_port >= 0;
   if (options.jobs.empty() && !socket_mode) {
     return Status::InvalidArgument("--jobs or --listen is required");
   }
@@ -295,7 +245,7 @@ Result<ServeOptions> ParseArgs(int argc, char** argv) {
   if (options.workers < 1) {
     return Status::InvalidArgument("--workers must be >= 1");
   }
-  if (options.queue_cap < 1) {
+  if (front_end.queue_cap < 1) {
     return Status::InvalidArgument("--queue-cap must be >= 1");
   }
   if (options.progress_interval_ms < 1) {
@@ -307,16 +257,17 @@ Result<ServeOptions> ParseArgs(int argc, char** argv) {
   if (options.max_retries < 0) {
     return Status::InvalidArgument("--max-retries must be >= 0");
   }
-  if (options.max_connections < 1) {
+  if (front_end.max_connections < 1) {
     return Status::InvalidArgument("--max-connections must be >= 1");
   }
-  if (options.idle_timeout_ms < 0) {
+  if (front_end.idle_timeout_ms < 0) {
     return Status::InvalidArgument("--idle-timeout-ms must be >= 0");
   }
-  if (options.metrics_prom_interval_ms < 0) {
+  if (front_end.metrics_prom_interval_ms < 0) {
     return Status::InvalidArgument("--metrics-prom-interval-ms must be >= 0");
   }
-  if (options.metrics_prom_interval_ms > 0 && options.metrics_prom.empty()) {
+  if (front_end.metrics_prom_interval_ms > 0 &&
+      front_end.metrics_prom.empty()) {
     return Status::InvalidArgument(
         "--metrics-prom-interval-ms requires --metrics-prom");
   }
@@ -335,75 +286,15 @@ Result<ServeOptions> ParseArgs(int argc, char** argv) {
   if (options.watchdog_poll_ms <= 0) {
     return Status::InvalidArgument("--watchdog-poll-ms must be > 0");
   }
-  if (options.shed_target_ms < 0) {
+  if (front_end.shed_target_ms < 0) {
     return Status::InvalidArgument("--shed-target-ms must be >= 0");
   }
-  if (options.shed_target_ms > 0 && !socket_mode) {
+  if (front_end.shed_target_ms > 0 && !socket_mode) {
     return Status::InvalidArgument(
         "--shed-target-ms applies to socket mode only (batch mode has no "
         "admission queue to shed from)");
   }
   return options;
-}
-
-/// Slurps a whole file (or stdin for "-") through the EINTR-safe read
-/// wrapper, so a signal during journal replay or job-file loading retries
-/// instead of truncating the input.
-Result<std::string> SlurpFile(const std::string& path) {
-  int fd = 0;  // stdin
-  if (path != "-") {
-    do {
-      fd = ::open(path.c_str(), O_RDONLY);
-    } while (fd < 0 && errno == EINTR);
-    if (fd < 0) {
-      return Status::NotFound("cannot open file: " + path);
-    }
-  }
-  std::string text;
-  char buffer[64 * 1024];
-  while (true) {
-    const net::IoResult got = net::ReadFd(fd, buffer, sizeof(buffer));
-    if (got.state == net::IoState::kClosed) {
-      break;
-    }
-    if (got.state != net::IoState::kOk) {
-      if (path != "-") {
-        net::CloseFd(fd);
-      }
-      return Status::Internal("read failed on " + path);
-    }
-    text.append(buffer, got.bytes);
-  }
-  if (path != "-") {
-    net::CloseFd(fd);
-  }
-  return text;
-}
-
-Result<std::vector<svc::RequestSpec>> ReadJobs(const std::string& path) {
-  QPLEX_ASSIGN_OR_RETURN(const std::string text, SlurpFile(path));
-  std::vector<svc::RequestSpec> specs;
-  std::istringstream in(text);
-  std::string line;
-  int line_number = 0;
-  while (std::getline(in, line)) {
-    ++line_number;
-    const auto first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos || line[first] == '#') {
-      continue;
-    }
-    QPLEX_ASSIGN_OR_RETURN(svc::RequestSpec spec,
-                           svc::ParseRequestLine(line, line_number));
-    if (spec.kind == svc::RequestKind::kHealth) {
-      // Health responses are load-dependent snapshots; letting them into a
-      // batch would poison the journal's byte-identity (--resume) contract.
-      return Status::InvalidArgument(
-          "health requests are socket-mode only (line " +
-          std::to_string(line_number) + ")");
-    }
-    specs.push_back(std::move(spec));
-  }
-  return specs;
 }
 
 struct JournalEntry {
@@ -415,9 +306,9 @@ struct JournalEntry {
 /// Reads the valid prefix of a WAL. A torn tail line (the process died
 /// mid-write) is dropped; anything after the first malformed line is
 /// discarded with it.
-Result<std::vector<JournalEntry>> ReadJournal(const std::string& path) {
+std::vector<JournalEntry> ReadJournal(const std::string& path) {
   std::vector<JournalEntry> entries;
-  const Result<std::string> slurped = SlurpFile(path);
+  const Result<std::string> slurped = net::SlurpFile(path);
   if (!slurped.ok()) {
     return entries;  // no journal yet: a fresh run
   }
@@ -440,576 +331,35 @@ Result<std::vector<JournalEntry>> ReadJournal(const std::string& path) {
   return entries;
 }
 
-struct BatchOutcome {
-  int failures = 0;   ///< non-OK jobs, journaled replays included
-  int skipped = 0;    ///< jobs satisfied from the journal
-  bool interrupted = false;
-};
-
-/// Executes the whole batch with submission-order Wait()s. Backpressure
-/// rejections drain the oldest outstanding job, then back off with
-/// decorrelated jitter (recorded in svc.admission.backoff_ms) instead of
-/// hot-spinning. `journaled` jobs are skipped; on SIGINT/SIGTERM the loop
-/// stops submitting, a watcher cancels everything in flight, and journaling
-/// stops so the WAL stays a clean prefix of the uninterrupted run.
-Result<BatchOutcome> RunBatch(svc::JobScheduler* scheduler,
-                              std::vector<svc::RequestSpec> specs,
-                              std::ostream* journal,
-                              const std::vector<JournalEntry>& journaled) {
-  BatchOutcome outcome;
-  if (journaled.size() > specs.size()) {
+/// Checks that a resumed journal is a prefix of this job file, emitting one
+/// job_replayed event per journaled job; returns the journaled failures.
+Result<std::int64_t> ReplayJournal(const std::vector<JournalEntry>& journaled,
+                                   const std::vector<svc::RequestSpec>& jobs) {
+  if (journaled.size() > jobs.size()) {
     return Status::InvalidArgument(
         "journal has " + std::to_string(journaled.size()) +
-        " entries but the batch only has " + std::to_string(specs.size()) +
+        " entries but the batch only has " + std::to_string(jobs.size()) +
         " jobs — wrong journal for this job file?");
   }
+  std::int64_t failures = 0;
   for (std::size_t i = 0; i < journaled.size(); ++i) {
-    if (journaled[i].label != specs[i].request.label) {
+    if (journaled[i].label != jobs[i].request.label) {
       return Status::InvalidArgument(
           "journal entry " + std::to_string(i + 1) + " is for job '" +
           journaled[i].label + "' but the job file has '" +
-          specs[i].request.label + "' — wrong journal for this job file?");
+          jobs[i].request.label + "' — wrong journal for this job file?");
     }
     if (journaled[i].status != "OK") {
-      ++outcome.failures;
+      ++failures;
     }
-    ++outcome.skipped;
     if (obs::EventsEnabled()) {
       obs::EmitEvent(obs::EventLevel::kInfo, "svc", "job_replayed",
                      {{"label", journaled[i].label},
                       {"status", journaled[i].status}});
     }
   }
-
-  std::mutex mutex;
-  std::deque<std::pair<svc::JobId, const svc::RequestSpec*>> outstanding;
-  std::atomic<bool> done{false};
-  // On a signal, cancel every in-flight job (repeatedly — cancellation is
-  // idempotent and new jobs cannot be submitted once g_signal is set). This
-  // runs in a thread because the batch loop itself blocks inside Wait().
-  std::thread watcher([&] {
-    while (!done.load(std::memory_order_relaxed)) {
-      if (g_signal != 0) {
-        std::lock_guard<std::mutex> lock(mutex);
-        for (const auto& [id, spec] : outstanding) {
-          scheduler->Cancel(id);
-        }
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-  });
-  struct WatcherJoiner {
-    std::atomic<bool>& done;
-    std::thread& watcher;
-    ~WatcherJoiner() {
-      done.store(true, std::memory_order_relaxed);
-      watcher.join();
-    }
-  } joiner{done, watcher};
-
-  auto drain_one = [&] {
-    svc::JobId id;
-    const svc::RequestSpec* spec;
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      std::tie(id, spec) = outstanding.front();
-    }
-    const svc::SolveResponse response = scheduler->Wait(id);
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      outstanding.pop_front();
-    }
-    if (!response.status.ok()) {
-      ++outcome.failures;
-    }
-    // Once a signal landed, responses are from cancelled jobs — don't
-    // journal them, so --resume recomputes them with full budgets.
-    if (journal != nullptr && g_signal == 0) {
-      *journal << svc::RenderResponseLine(spec->request.label, response)
-               << "\n"
-               << std::flush;
-    }
-  };
-
-  resilience::BackoffOptions admission_backoff_options;
-  admission_backoff_options.base_ms = 0.5;
-  admission_backoff_options.cap_ms = 20;
-  admission_backoff_options.seed = 0xad715510;
-  resilience::Backoff admission_backoff(admission_backoff_options);
-
-  for (std::size_t i = journaled.size(); i < specs.size(); ++i) {
-    svc::RequestSpec& spec = specs[i];
-    if (g_signal != 0) {
-      outcome.interrupted = true;
-      break;
-    }
-    while (true) {
-      Result<svc::JobId> submitted =
-          spec.backends.empty()
-              ? scheduler->Submit(spec.request)
-              : scheduler->SubmitPortfolio(spec.request, spec.backends);
-      if (submitted.ok()) {
-        std::lock_guard<std::mutex> lock(mutex);
-        outstanding.emplace_back(submitted.value(), &spec);
-        admission_backoff.Reset();
-        break;
-      }
-      if (submitted.status().code() != StatusCode::kResourceExhausted) {
-        return submitted.status();
-      }
-      bool empty;
-      {
-        std::lock_guard<std::mutex> lock(mutex);
-        empty = outstanding.empty();
-      }
-      if (empty) {
-        // Queue smaller than one job's racer count: a config error, not
-        // transient backpressure.
-        return submitted.status();
-      }
-      drain_one();
-      if (g_signal != 0) {
-        break;  // re-checked at the top of the outer loop
-      }
-      const double delay_ms = admission_backoff.NextDelayMs();
-      obs::MetricsRegistry::Global()
-          .GetHistogram("svc.admission.backoff_ms")
-          .Record(delay_ms);
-      std::this_thread::sleep_for(
-          std::chrono::duration<double, std::milli>(delay_ms));
-    }
-  }
-  while (true) {
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      if (outstanding.empty()) {
-        break;
-      }
-    }
-    drain_one();
-  }
-  if (g_signal != 0) {
-    outcome.interrupted = true;
-  }
-  if (journal != nullptr) {
-    journal->flush();
-  }
-  return outcome;
+  return failures;
 }
-
-// ---------------------------------------------------------------------------
-// Socket mode: the poll event loop glued to the scheduler.
-
-/// Renders the per-request error line used for malformed requests, unknown
-/// backends, and shed load. Shares the "label"/"status" keys with the
-/// success renderer so clients parse one schema.
-std::string RenderErrorLine(const std::string& label, const Status& status) {
-  obs::JsonValue line = obs::JsonValue::Object();
-  line.Set("label", label);
-  line.Set("status", std::string(StatusCodeName(status.code())));
-  line.Set("error", status.message());
-  return line.Dump();
-}
-
-/// Shed responses are error lines plus a retry_after_ms hint so a
-/// well-behaved client backs off for a delay the server actually measured
-/// instead of guessing.
-std::string RenderShedLine(const std::string& label, const Status& status,
-                           double retry_after_ms) {
-  obs::JsonValue line = obs::JsonValue::Object();
-  line.Set("label", label);
-  line.Set("status", std::string(StatusCodeName(status.code())));
-  line.Set("error", status.message());
-  line.Set("retry_after_ms", retry_after_ms);
-  return line.Dump();
-}
-
-/// Everything the socket front-end tracks about one admitted request.
-struct Route {
-  std::uint64_t conn = 0;      ///< originating connection
-  std::string label;           ///< the client's request id
-  std::uint64_t admission = 0; ///< journal reorder position
-};
-
-/// Socket-mode statistics for the final summary event.
-struct SocketOutcome {
-  std::int64_t requests = 0;
-  std::int64_t responses = 0;
-  std::int64_t failures = 0;
-  std::int64_t malformed = 0;
-  std::int64_t shed = 0;
-  bool interrupted = false;
-};
-
-class SocketFrontEnd {
- public:
-  SocketFrontEnd(const ServeOptions& options, svc::JobScheduler* scheduler,
-                 std::ostream* journal)
-      : options_(options),
-        scheduler_(scheduler),
-        journal_(journal),
-        overload_(MakeOverloadOptions(options)) {}
-
-  Result<SocketOutcome> Run() {
-    net::ServerOptions server_options;
-    server_options.port = options_.listen_port;
-    server_options.max_connections = options_.max_connections;
-    server_options.idle_timeout_ms = options_.idle_timeout_ms;
-    server_options.max_line_bytes =
-        static_cast<std::size_t>(options_.max_line_bytes);
-    server_options.busy_response =
-        RenderErrorLine("", Status::ResourceExhausted(
-                                "server at max connections")) +
-        "\n";
-    net::ServerCallbacks callbacks;
-    callbacks.on_line = [this](std::uint64_t conn, std::string line) {
-      OnLine(conn, std::move(line));
-    };
-    callbacks.on_close = [this](std::uint64_t conn) { OnClose(conn); };
-    callbacks.on_protocol_error = [this](std::uint64_t conn,
-                                         const Status& violation) {
-      ++outcome_.malformed;
-      server_->Send(conn, RenderErrorLine("", violation) + "\n");
-    };
-    QPLEX_ASSIGN_OR_RETURN(
-        server_, net::Server::Create(server_options, std::move(callbacks)));
-
-    if (!options_.port_file.empty()) {
-      std::ofstream port_out(options_.port_file, std::ios::trunc);
-      port_out << server_->port() << "\n";
-      if (!port_out) {
-        return Status::Internal("cannot write port file: " +
-                                options_.port_file);
-      }
-    }
-    if (obs::EventsEnabled()) {
-      obs::EmitEvent(obs::EventLevel::kInfo, "net", "listening",
-                     {{"port", server_->port()},
-                      {"max_connections", options_.max_connections},
-                      {"idle_timeout_ms", options_.idle_timeout_ms}});
-    }
-
-    while (true) {
-      if (g_signal != 0 && !draining_) {
-        // Graceful drain: no new connections, no new reads beyond what is
-        // already buffered; in-flight and backlogged jobs run to completion
-        // and every response flushes before exit.
-        draining_ = true;
-        outcome_.interrupted = true;
-        server_->StopAccepting();
-        if (obs::EventsEnabled()) {
-          obs::EmitEvent(obs::EventLevel::kInfo, "net", "draining",
-                         {{"outstanding",
-                           static_cast<std::int64_t>(outstanding_.size())},
-                          {"backlog",
-                           static_cast<std::int64_t>(backlog_.size())}});
-        }
-      }
-      const bool busy = !outstanding_.empty() || !backlog_.empty();
-      // 2 ms keeps completion-drain latency negligible against solve times
-      // while jobs are in flight; an idle server parks in poll() for long
-      // slices (interrupted early by signals or traffic either way).
-      const int timeout_ms = busy ? 2 : (draining_ ? 10 : 200);
-      QPLEX_RETURN_IF_ERROR(server_->Poll(timeout_ms));
-      SubmitBacklog();
-      DrainCompletions();
-      server_->FlushWritable();
-      if (draining_ && outstanding_.empty() && backlog_.empty()) {
-        break;
-      }
-    }
-    server_->DrainWrites(/*timeout_ms=*/2000);
-    if (journal_ != nullptr) {
-      journal_->flush();
-    }
-    return outcome_;
-  }
-
- private:
-  static resilience::OverloadOptions MakeOverloadOptions(
-      const ServeOptions& options) {
-    resilience::OverloadOptions overload;
-    overload.target_delay_ms = options.shed_target_ms;
-    return overload;
-  }
-
-  void OnLine(std::uint64_t conn, std::string line) {
-    const auto first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos || line[first] == '#') {
-      return;  // same skip rule as batch mode
-    }
-    const int line_number = ++conn_lines_[conn];
-    ++outcome_.requests;
-    obs::MetricsRegistry::Global().GetCounter("net.requests.received")
-        .Increment();
-    Result<svc::RequestSpec> parsed = svc::ParseRequestLine(line, line_number);
-    if (!parsed.ok()) {
-      ++outcome_.malformed;
-      obs::MetricsRegistry::Global().GetCounter("net.requests.malformed")
-          .Increment();
-      server_->Send(conn, RenderErrorLine("", parsed.status()) + "\n");
-      return;
-    }
-    if (parsed.value().kind == svc::RequestKind::kHealth) {
-      // Health probes bypass admission entirely — they are how a client
-      // finds out *why* it is being shed, so shedding them would be
-      // self-defeating. Answered in place, never journaled.
-      server_->Send(conn,
-                    RenderHealthLine(parsed.value().request.label) + "\n");
-      ++outcome_.responses;
-      return;
-    }
-    // Scheduler backpressure composes outward: a full admission queue parks
-    // requests here; once the backlog itself is a queue-capacity deep — or
-    // the smoothed queue delay has run past --shed-target-ms — further
-    // requests are shed with an explicit ResourceExhausted carrying a
-    // retry_after_ms hint instead of buffering without bound.
-    const resilience::OverloadController::Decision admit = overload_.Admit(
-        backlog_.size(), static_cast<std::size_t>(options_.queue_cap),
-        scheduler_->OpenBreakerCount());
-    if (!admit.admit) {
-      ++outcome_.shed;
-      obs::MetricsRegistry::Global().GetCounter("net.requests.shed")
-          .Increment();
-      const std::string reason = admit.reason;
-      const std::string message = reason == "backlog_full"
-                                      ? "admission queue and backlog full"
-                                      : "queue delay over shed target; "
-                                        "retry later";
-      server_->Send(conn, RenderShedLine(parsed.value().request.label,
-                                         Status::ResourceExhausted(message),
-                                         admit.retry_after_ms) +
-                              "\n");
-      if (obs::EventsEnabled()) {
-        obs::EmitEvent(obs::EventLevel::kWarn, "svc", "admission_shed",
-                       {{"label", parsed.value().request.label},
-                        {"reason", reason},
-                        {"backlog",
-                         static_cast<std::int64_t>(backlog_.size())}});
-      }
-      return;
-    }
-    backlog_.push_back(Backlogged{conn, std::move(parsed).value()});
-    SubmitBacklog();
-  }
-
-  void OnClose(std::uint64_t conn) {
-    conn_lines_.erase(conn);
-    conn_outstanding_.erase(conn);  // the server forgot the pin with the fd
-    // Jobs already admitted for this connection keep running (and keep their
-    // journal slot — the WAL narrates admitted work, not deliveries); their
-    // responses will be dropped by Send() and counted.
-    if (obs::EventsEnabled()) {
-      obs::EmitEvent(obs::EventLevel::kInfo, "net", "conn_close",
-                     {{"conn", static_cast<std::int64_t>(conn)}});
-    }
-  }
-
-  void SubmitBacklog() {
-    while (!backlog_.empty()) {
-      Backlogged& next = backlog_.front();
-      Result<svc::JobId> submitted =
-          next.spec.backends.empty()
-              ? scheduler_->Submit(next.spec.request)
-              : scheduler_->SubmitPortfolio(next.spec.request,
-                                            next.spec.backends);
-      if (!submitted.ok()) {
-        if (submitted.status().code() == StatusCode::kResourceExhausted) {
-          return;  // queue full: retry after the next completion drains
-        }
-        // Unknown backend and friends: a per-request error, not a server
-        // fault — identical status text to the batch-mode failure.
-        server_->Send(next.conn,
-                      RenderErrorLine(next.spec.request.label,
-                                      submitted.status()) +
-                          "\n");
-        ++outcome_.failures;
-        backlog_.pop_front();
-        continue;
-      }
-      Route route;
-      route.conn = next.conn;
-      route.label = next.spec.request.label;
-      route.admission = next_admission_++;
-      outstanding_.emplace(submitted.value(), route);
-      // Pin the connection against the idle timeout while it has admitted
-      // work in the scheduler: its inbound side may go silent for the whole
-      // solve, and idling it out would drop the response it is owed.
-      if (++conn_outstanding_[next.conn] == 1) {
-        server_->SetIdleExempt(next.conn, true);
-      }
-      obs::MetricsRegistry::Global()
-          .GetGauge("net.requests.outstanding_max")
-          .SetMax(static_cast<double>(outstanding_.size()));
-      backlog_.pop_front();
-    }
-  }
-
-  void DrainCompletions() {
-    if (outstanding_.empty()) {
-      return;
-    }
-    std::vector<svc::JobId> ids;
-    ids.reserve(outstanding_.size());
-    for (const auto& [id, route] : outstanding_) {
-      ids.push_back(id);
-    }
-    for (const svc::JobId id : ids) {
-      svc::SolveResponse response;
-      if (!scheduler_->TryWait(id, &response)) {
-        continue;
-      }
-      const Route route = outstanding_.at(id);
-      outstanding_.erase(id);
-      if (auto pinned = conn_outstanding_.find(route.conn);
-          pinned != conn_outstanding_.end() && --pinned->second == 0) {
-        conn_outstanding_.erase(pinned);
-        server_->SetIdleExempt(route.conn, false);
-      }
-      overload_.RecordQueueDelay(response.metrics.queue_seconds * 1e3);
-      if (!response.status.ok()) {
-        ++outcome_.failures;
-      }
-      ++outcome_.responses;
-      const std::string line =
-          svc::RenderResponseLine(route.label, response) + "\n";
-      server_->Send(route.conn, line);
-      if (journal_ != nullptr) {
-        // Journal in admission order, not completion order: park the line
-        // in the reorder buffer until every earlier admission has landed.
-        journal_lines_.emplace(route.admission, line);
-        while (!journal_lines_.empty() &&
-               journal_lines_.begin()->first == journal_flushed_) {
-          *journal_ << journal_lines_.begin()->second << std::flush;
-          journal_lines_.erase(journal_lines_.begin());
-          ++journal_flushed_;
-        }
-      }
-    }
-  }
-
-  /// The in-band health response ({"type": "health"}): breaker states,
-  /// queue/backlog depths, shed counters, and drain status, rendered from
-  /// live state at answer time. Schema documented in DESIGN.md section 15.
-  std::string RenderHealthLine(const std::string& label) const {
-    obs::JsonValue line = obs::JsonValue::Object();
-    line.Set("label", label);
-    line.Set("status", std::string(StatusCodeName(StatusCode::kOk)));
-    line.Set("type", "health");
-    line.Set("draining", draining_);
-    line.Set("backlog", static_cast<std::int64_t>(backlog_.size()));
-    line.Set("outstanding", static_cast<std::int64_t>(outstanding_.size()));
-    line.Set("queue_depth",
-             static_cast<std::int64_t>(scheduler_->QueueDepth()));
-    line.Set("requests", outcome_.requests);
-    line.Set("responses", outcome_.responses);
-    line.Set("shed", outcome_.shed);
-    line.Set("delay_ewma_ms", overload_.delay_ewma_ms());
-    line.Set("watchdog_kills", scheduler_->WatchdogKills());
-    line.Set("breakers_enabled", scheduler_->breakers_enabled());
-    line.Set("open_breakers", scheduler_->OpenBreakerCount());
-    obs::JsonValue breakers = obs::JsonValue::Array();
-    for (const resilience::BreakerSnapshot& snapshot :
-         scheduler_->BreakerSnapshots()) {
-      obs::JsonValue entry = obs::JsonValue::Object();
-      entry.Set("backend", snapshot.backend);
-      entry.Set("state",
-                std::string(resilience::BreakerStateName(snapshot.state)));
-      entry.Set("consecutive_failures", snapshot.consecutive_failures);
-      entry.Set("cooldown_remaining", snapshot.cooldown_remaining);
-      entry.Set("opened", snapshot.opened);
-      entry.Set("closed", snapshot.closed);
-      entry.Set("short_circuits", snapshot.short_circuits);
-      entry.Set("probes", snapshot.probes);
-      breakers.Append(std::move(entry));
-    }
-    line.Set("breakers", std::move(breakers));
-    return line.Dump();
-  }
-
-  struct Backlogged {
-    std::uint64_t conn = 0;
-    svc::RequestSpec spec;
-  };
-
-  const ServeOptions& options_;
-  svc::JobScheduler* scheduler_;
-  std::ostream* journal_;
-  std::unique_ptr<net::Server> server_;
-  resilience::OverloadController overload_;
-  std::deque<Backlogged> backlog_;
-  std::map<svc::JobId, Route> outstanding_;
-  std::unordered_map<std::uint64_t, int> conn_lines_;
-  /// Admitted-but-unanswered job count per connection; non-zero pins the
-  /// connection against the idle timeout (see net::Server::SetIdleExempt).
-  std::unordered_map<std::uint64_t, int> conn_outstanding_;
-  std::map<std::uint64_t, std::string> journal_lines_;
-  std::uint64_t next_admission_ = 0;
-  std::uint64_t journal_flushed_ = 0;
-  bool draining_ = false;
-  SocketOutcome outcome_;
-};
-
-/// Writes one OpenMetrics snapshot of the global registry, atomically
-/// (tmp file + rename) so a scraper tailing the path never sees a torn
-/// exposition.
-Status WritePromSnapshot(const std::string& path) {
-  const std::string text =
-      obs::RenderOpenMetrics(obs::MetricsRegistry::Global().Snapshot());
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) {
-      return Status::InvalidArgument("cannot open metrics file: " + tmp);
-    }
-    out << text;
-    if (!out) {
-      return Status::Internal("failed writing metrics file: " + tmp);
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return Status::Internal("failed to move metrics file into place: " + path);
-  }
-  return Status::Ok();
-}
-
-/// Background periodic OpenMetrics snapshotter for long serve runs; writes
-/// every interval while the batch executes, and the caller writes one final
-/// snapshot after the scheduler drains.
-class PromSnapshotter {
- public:
-  PromSnapshotter(std::string path, int interval_ms)
-      : path_(std::move(path)), interval_ms_(interval_ms) {
-    if (interval_ms_ > 0) {
-      thread_ = std::thread([this] { Loop(); });
-    }
-  }
-  ~PromSnapshotter() {
-    if (thread_.joinable()) {
-      stop_.store(true, std::memory_order_relaxed);
-      thread_.join();
-    }
-  }
-
- private:
-  void Loop() {
-    int slept_ms = 0;
-    while (!stop_.load(std::memory_order_relaxed)) {
-      // Sleep in small slices so shutdown is prompt even with big intervals.
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      slept_ms += 5;
-      if (slept_ms >= interval_ms_) {
-        slept_ms = 0;
-        (void)WritePromSnapshot(path_);  // transient IO failures retry next tick
-      }
-    }
-  }
-
-  std::string path_;
-  int interval_ms_;
-  std::atomic<bool> stop_{false};
-  std::thread thread_;
-};
 
 int Main(int argc, char** argv) {
   // Handlers go in before anything else so a signal during startup already
@@ -1020,35 +370,35 @@ int Main(int argc, char** argv) {
   std::signal(SIGTERM, HandleSignal);
   net::IgnoreSigpipe();
 
-  const Result<ServeOptions> options = ParseArgs(argc, argv);
-  if (!options.ok()) {
-    std::cerr << options.status() << "\n";
+  const Result<ServeOptions> parsed = ParseArgs(argc, argv);
+  if (!parsed.ok()) {
+    std::cerr << parsed.status() << "\n";
     PrintUsage();
     return 2;
   }
-  const bool socket_mode = options.value().listen_port >= 0;
+  const ServeOptions& options = parsed.value();
+  const bool socket_mode = options.front_end.listen_port >= 0;
 
-  if (!options.value().fault_spec.empty()) {
+  if (!options.fault_spec.empty()) {
     const Status armed =
-        resilience::FaultInjector::Global().Configure(
-            options.value().fault_spec);
+        resilience::FaultInjector::Global().Configure(options.fault_spec);
     if (!armed.ok()) {
       std::cerr << armed << "\n";
       PrintUsage();
       return 2;
     }
   }
-  if (options.value().max_sim_bytes > 0) {
-    SetMaxSimulationBytes(options.value().max_sim_bytes);
+  if (options.max_sim_bytes > 0) {
+    SetMaxSimulationBytes(options.max_sim_bytes);
   }
 
   std::unique_ptr<obs::EventSink> events;
-  if (!options.value().events.empty()) {
-    Result<std::unique_ptr<obs::EventSink>> opened = obs::EventSink::Open(
-        options.value().events, options.value().progress_interval_ms);
+  if (!options.events.empty()) {
+    Result<std::unique_ptr<obs::EventSink>> opened =
+        obs::EventSink::Open(options.events, options.progress_interval_ms);
     if (!opened.ok()) {
-      std::cerr << "failed to open event stream " << options.value().events
-                << ": " << opened.status() << "\n";
+      std::cerr << "failed to open event stream " << options.events << ": "
+                << opened.status() << "\n";
       return 2;
     }
     events = std::move(opened).value();
@@ -1058,15 +408,20 @@ int Main(int argc, char** argv) {
     ~SinkUninstaller() { obs::EventSink::InstallGlobal(nullptr); }
   } uninstaller;
 
-  std::vector<svc::RequestSpec> specs;
+  const svc::SolverRegistry registry = svc::MakeBuiltinRegistry();
+  std::vector<svc::RequestSpec> jobs;
   if (!socket_mode) {
-    Result<std::vector<svc::RequestSpec>> read =
-        ReadJobs(options.value().jobs);
-    if (!read.ok()) {
-      std::cerr << "failed to read jobs: " << read.status() << "\n";
+    Result<std::vector<svc::RequestSpec>> loaded =
+        [&]() -> Result<std::vector<svc::RequestSpec>> {
+      QPLEX_ASSIGN_OR_RETURN(const std::string text,
+                             net::SlurpFile(options.jobs));
+      return svc::LoadJobFile(text, registry, options.front_end.queue_cap);
+    }();
+    if (!loaded.ok()) {
+      std::cerr << "failed to read jobs: " << loaded.status() << "\n";
       return 2;
     }
-    specs = std::move(read).value();
+    jobs = std::move(loaded).value();
   }
 
   // Journal setup. On --resume the valid prefix of the existing WAL is kept
@@ -1074,20 +429,13 @@ int Main(int argc, char** argv) {
   // reopens right after it; otherwise the journal starts fresh.
   std::vector<JournalEntry> journaled;
   std::unique_ptr<std::ofstream> journal;
-  if (!options.value().journal.empty()) {
-    if (options.value().resume) {
-      Result<std::vector<JournalEntry>> read =
-          ReadJournal(options.value().journal);
-      if (!read.ok()) {
-        std::cerr << "failed to read journal: " << read.status() << "\n";
-        return 2;
-      }
-      journaled = std::move(read).value();
+  if (!options.journal.empty()) {
+    if (options.resume) {
+      journaled = ReadJournal(options.journal);
     }
-    journal = std::make_unique<std::ofstream>(options.value().journal,
-                                              std::ios::trunc);
+    journal = std::make_unique<std::ofstream>(options.journal, std::ios::trunc);
     if (!*journal) {
-      std::cerr << "cannot open journal: " << options.value().journal << "\n";
+      std::cerr << "cannot open journal: " << options.journal << "\n";
       return 2;
     }
     for (const JournalEntry& entry : journaled) {
@@ -1099,55 +447,42 @@ int Main(int argc, char** argv) {
   obs::MetricsRegistry::Global().Reset();
   obs::Tracer::Global().Reset();
 
-  svc::SolverRegistry registry = svc::MakeBuiltinRegistry();
   svc::JobSchedulerOptions scheduler_options;
-  scheduler_options.num_workers = options.value().workers;
+  scheduler_options.num_workers = options.workers;
   scheduler_options.queue_capacity =
-      static_cast<std::size_t>(options.value().queue_cap);
-  scheduler_options.enable_cache = options.value().cache;
-  scheduler_options.retry.max_retries = options.value().max_retries;
-  scheduler_options.slo_latency_ms = options.value().slo_ms;
-  scheduler_options.enable_breakers = options.value().breaker_threshold > 0;
-  scheduler_options.breaker.failure_threshold =
-      options.value().breaker_threshold;
-  scheduler_options.breaker.cooldown_consults =
-      options.value().breaker_cooldown;
-  scheduler_options.watchdog_stall_ms = options.value().watchdog_stall_ms;
-  scheduler_options.watchdog_poll_ms = options.value().watchdog_poll_ms;
+      static_cast<std::size_t>(options.front_end.queue_cap);
+  scheduler_options.enable_cache = options.cache;
+  scheduler_options.retry.max_retries = options.max_retries;
+  scheduler_options.slo_latency_ms = options.slo_ms;
+  scheduler_options.enable_breakers = options.breaker_threshold > 0;
+  scheduler_options.breaker.failure_threshold = options.breaker_threshold;
+  scheduler_options.breaker.cooldown_consults = options.breaker_cooldown;
+  scheduler_options.watchdog_stall_ms = options.watchdog_stall_ms;
+  scheduler_options.watchdog_poll_ms = options.watchdog_poll_ms;
 
   if (obs::EventsEnabled()) {
     obs::EmitEvent(obs::EventLevel::kInfo, "svc", "batch_start",
-                   {{"jobs", static_cast<std::int64_t>(specs.size())},
+                   {{"jobs", static_cast<std::int64_t>(jobs.size())},
                     {"listen", socket_mode},
-                    {"workers", options.value().workers},
-                    {"queue_cap", options.value().queue_cap},
-                    {"cache", options.value().cache},
+                    {"workers", options.workers},
+                    {"queue_cap", options.front_end.queue_cap},
+                    {"cache", options.cache},
                     {"resumed", static_cast<std::int64_t>(journaled.size())}});
   }
   Stopwatch watch;
-  Result<BatchOutcome> outcome = BatchOutcome{};
-  SocketOutcome socket_outcome;
-  {
-    PromSnapshotter snapshotter(options.value().metrics_prom,
-                                options.value().metrics_prom_interval_ms);
+  const std::int64_t skipped = static_cast<std::int64_t>(journaled.size());
+  std::int64_t replayed_failures = 0;
+  Result<svc::FrontEndOutcome> outcome = [&]() -> Result<svc::FrontEndOutcome> {
+    QPLEX_ASSIGN_OR_RETURN(replayed_failures, ReplayJournal(journaled, jobs));
+    jobs.erase(jobs.begin(), jobs.begin() + skipped);
     svc::JobScheduler scheduler(&registry, scheduler_options);
+    svc::FrontEnd front_end(&scheduler, journal.get(), options.front_end);
     if (socket_mode) {
-      SocketFrontEnd front_end(options.value(), &scheduler, journal.get());
-      Result<SocketOutcome> ran = front_end.Run();
-      if (!ran.ok()) {
-        outcome = ran.status();
-      } else {
-        socket_outcome = std::move(ran).value();
-        BatchOutcome as_batch;
-        as_batch.failures = static_cast<int>(socket_outcome.failures);
-        as_batch.interrupted = socket_outcome.interrupted;
-        outcome = as_batch;
-      }
-    } else {
-      outcome = RunBatch(&scheduler, std::move(specs), journal.get(),
-                         journaled);
+      QPLEX_RETURN_IF_ERROR(front_end.Listen());
     }
-  }
+    front_end.AddJobs(std::move(jobs));
+    return front_end.Run([] { return g_signal != 0; });
+  }();
   const double wall_seconds = watch.ElapsedSeconds();
   if (!outcome.ok()) {
     if (obs::EventsEnabled()) {
@@ -1158,22 +493,23 @@ int Main(int argc, char** argv) {
     std::cerr << "batch failed: " << outcome.status() << "\n";
     return 2;
   }
+  const svc::FrontEndOutcome& served = outcome.value();
 
   auto& metrics = obs::MetricsRegistry::Global();
   const std::int64_t total =
-      metrics.GetCounter("svc.jobs.completed").Get() +
-      static_cast<std::int64_t>(outcome.value().skipped);
+      metrics.GetCounter("svc.jobs.completed").Get() + skipped;
+  const std::int64_t failures = served.failures + replayed_failures;
   if (obs::EventsEnabled()) {
     obs::EmitEvent(
         obs::EventLevel::kInfo, "svc", "batch_end",
         {{"jobs", total},
-         {"failed", outcome.value().failures},
-         {"skipped", outcome.value().skipped},
-         {"interrupted", outcome.value().interrupted},
-         {"requests", socket_outcome.requests},
-         {"responses", socket_outcome.responses},
-         {"malformed", socket_outcome.malformed},
-         {"shed", socket_outcome.shed},
+         {"failed", failures},
+         {"skipped", skipped},
+         {"interrupted", served.interrupted},
+         {"requests", served.requests},
+         {"responses", served.responses},
+         {"malformed", served.malformed},
+         {"shed", served.shed},
          {"retries", metrics.GetCounter("svc.retries.scheduled").Get()},
          {"fallbacks", metrics.GetCounter("svc.fallbacks.taken").Get()},
          {"cache_hits", metrics.GetCounter("svc.cache.hits").Get()},
@@ -1184,29 +520,30 @@ int Main(int argc, char** argv) {
                            : 0.0}});
   }
 
-  if (!options.value().metrics_prom.empty()) {
-    const Status written = WritePromSnapshot(options.value().metrics_prom);
+  if (!options.front_end.metrics_prom.empty()) {
+    const Status written =
+        svc::WritePromSnapshot(options.front_end.metrics_prom);
     if (!written.ok()) {
       std::cerr << "failed to write OpenMetrics exposition to "
-                << options.value().metrics_prom << ": " << written << "\n";
+                << options.front_end.metrics_prom << ": " << written << "\n";
       return 2;
     }
   }
 
-  if (!options.value().metrics_json.empty()) {
+  if (!options.metrics_json.empty()) {
     obs::RunReport report("qplex_serve");
     report.SetMeta("jobs", total);
-    report.SetMeta("failed", outcome.value().failures);
-    report.SetMeta("skipped", outcome.value().skipped);
-    report.SetMeta("interrupted", outcome.value().interrupted);
-    report.SetMeta("workers", options.value().workers);
-    report.SetMeta("cache", options.value().cache);
+    report.SetMeta("failed", failures);
+    report.SetMeta("skipped", skipped);
+    report.SetMeta("interrupted", served.interrupted);
+    report.SetMeta("workers", options.workers);
+    report.SetMeta("cache", options.cache);
     report.SetMeta("wall_seconds", wall_seconds);
     report.Capture();
-    const Status written = report.WriteJsonFile(options.value().metrics_json);
+    const Status written = report.WriteJsonFile(options.metrics_json);
     if (!written.ok()) {
       std::cerr << "failed to write metrics report to "
-                << options.value().metrics_json << ": " << written << "\n";
+                << options.metrics_json << ": " << written << "\n";
       return 2;
     }
   }

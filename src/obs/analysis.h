@@ -10,7 +10,7 @@
 namespace qplex::obs {
 
 /// One "span" event line from a --events JSONL stream (already merged per
-/// line by SpanCollector; LoadEventLog keeps them raw, BuildTraceForest
+/// path by the job trace that emitted it; LoadEventLog keeps them raw, BuildTraceForest
 /// re-merges lines that share a span id across attempts/flushes).
 struct SpanRecord {
   std::string trace;   ///< 16-hex trace id

@@ -123,10 +123,10 @@ void EmitEvent(EventLevel level, std::string_view solver,
                std::initializer_list<std::pair<std::string_view, JsonValue>>
                    fields);
 
-/// The trace id (16 hex digits) of the request scope active on this thread,
-/// or empty outside any request. Defined in obs/reqtrace.cc; declared here so
+/// The trace id (16 hex digits) of the job trace open on this thread, or
+/// empty outside any trace. Defined in obs/trace.cc; declared here so
 /// ProgressHeartbeat can key its throttle per request without events.h
-/// depending on the reqtrace header.
+/// depending on the trace header.
 std::string_view CurrentTraceToken();
 
 /// Rate-limited progress reporter for long-running loops. `Due()` is cheap

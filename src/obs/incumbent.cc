@@ -2,7 +2,7 @@
 
 #include "obs/events.h"
 #include "obs/metrics.h"
-#include "obs/reqtrace.h"
+#include "obs/trace.h"
 
 namespace qplex::obs {
 
@@ -13,9 +13,7 @@ IncumbentReporter::IncumbentReporter(std::string_view solver)
   }
   solver_ = std::string(solver);
   trace_ = std::string(CurrentTraceToken());
-  if (const SpanContext* scope = RequestScope::Current()) {
-    path_ = scope->path;
-  }
+  path_ = std::string(CurrentSpanPath());
   payload_counter_ =
       &MetricsRegistry::Global().GetCounter("obs.events.incumbent_payloads");
 }
@@ -46,7 +44,7 @@ void IncumbentReporter::Emit(int size, std::int64_t work, bool has_value,
                              double value) {
   payload_counter_->Increment();
   const double elapsed_ms = watch_.ElapsedMillis();
-  // A request scope yields both trace and path; outside any scope (plain CLI
+  // A job trace yields both trace and path; outside any trace (plain CLI
   // solves) both are omitted. Branches keep Emit's initializer-list API.
   if (path_.empty()) {
     if (has_value) {

@@ -26,9 +26,9 @@ class Counter;
 /// produce byte-identical timelines regardless of wall-clock jitter;
 /// `elapsed_ms` rides along for wall-clock views only. `improvement` /
 /// `update` are 1-based per-reporter indices. `trace` and `path` are captured
-/// from the active RequestScope at construction, keying each timeline to the
-/// exact structural span (racer / retry attempt / fallback hop) that produced
-/// it — a retried attempt starts a fresh timeline instead of breaking the
+/// from the job trace open on this thread at construction, keying each
+/// timeline to the exact structural span (racer / retry attempt / fallback
+/// hop) that produced it — a retried attempt starts a fresh timeline instead of breaking the
 /// previous one's monotonicity.
 ///
 /// Cost model: when no sink is installed the constructor is one atomic load

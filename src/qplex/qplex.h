@@ -70,7 +70,6 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/openmetrics.h"
-#include "obs/reqtrace.h"
 #include "obs/run_report.h"
 #include "obs/trace.h"
 #include "milp/qubo_linearization.h"

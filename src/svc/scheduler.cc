@@ -12,7 +12,6 @@
 
 #include "obs/events.h"
 #include "obs/metrics.h"
-#include "obs/reqtrace.h"
 #include "obs/trace.h"
 #include "resilience/fault_injection.h"
 #include "svc/graph_hash.h"
@@ -389,24 +388,12 @@ void JobScheduler::Execute(const SubTask& task, int worker) {
 
   SolveResponse response;
   {
-    // Request scope for this racer execution. The collector is declared
-    // first so the racer scope records itself into it before it flushes;
-    // with no sink installed neither is constructed and the whole block
-    // costs two null checks.
-    std::optional<obs::SpanCollector> collector;
-    std::optional<obs::RequestScope> racer_scope;
-    if (obs::EventsEnabled()) {
-      collector.emplace();
-      racer_scope.emplace(
-          obs::ChildSpan(obs::RootSpan(trace_id, "job"), "racer", backend),
-          &*collector);
-    }
+    // This racer execution's trace root: it flushes the execution's span
+    // events when it closes, after a retry decision and its backoff.
+    obs::TraceSpan racer_span(trace_id, "racer", backend);
     {
-      std::optional<obs::RequestScope> attempt_scope;
-      if (racer_scope.has_value()) {
-        attempt_scope.emplace(obs::ChildSpan(
-            racer_scope->context(), "attempt", std::to_string(task.attempt)));
-      }
+      obs::TraceSpan attempt_span(obs::kRequestOnly, "attempt",
+                                  std::to_string(task.attempt));
       Stopwatch attempt_watch;
       response = RunBackend(job, backend, task.attempt);
       registry.GetHistogram("svc.phase.attempt_wall_ms")
@@ -483,7 +470,7 @@ void JobScheduler::Execute(const SubTask& task, int worker) {
          {"wall_seconds", merged_copy.metrics.wall_seconds}});
     // The root span closes the trace: emitted once, by whichever racer
     // finished last.
-    obs::EmitSpanEvent(obs::RootSpan(trace_id, "job"), 1, latency_ms);
+    obs::EmitJobSpan(trace_id, latency_ms);
   }
   job.done_cv.notify_all();
 }
@@ -491,13 +478,9 @@ void JobScheduler::Execute(const SubTask& task, int worker) {
 SolveResponse JobScheduler::RunBackend(Job& job, const std::string& backend,
                                        int attempt) {
   auto& registry = obs::MetricsRegistry::Global();
+  // The phase spans below hang off this span, so the whole attempt
+  // reconstructs as one subtree.
   obs::TraceSpan span("svc.job");
-
-  // Non-null exactly when Execute opened the attempt scope (events on); the
-  // phase spans below hang off it so the whole attempt reconstructs as one
-  // subtree. Note Current() is now the span the TraceSpan above bridged in.
-  const obs::SpanContext* attempt_span = obs::RequestScope::Current();
-  obs::SpanCollector* collector = obs::RequestScope::CurrentCollector();
 
   SolveResponse response;
   response.backend = backend;
@@ -510,12 +493,9 @@ SolveResponse JobScheduler::RunBackend(Job& job, const std::string& backend,
     registry.GetHistogram("svc.phase.queue_wait_wall_ms")
         .Record(response.metrics.queue_seconds * 1e3);
     registry.GetCounter("svc.backend." + backend + ".jobs").Increment();
-    if (collector != nullptr && attempt_span != nullptr) {
-      // The wait already happened (between Enqueue and now), so the span is
-      // recorded directly instead of scoped.
-      collector->Record(obs::ChildSpan(*attempt_span, "queue"),
-                        response.metrics.queue_seconds * 1e3);
-    }
+    // The wait already happened (between Enqueue and now), so the span is
+    // recorded directly instead of scoped.
+    obs::RecordSpan("queue", {}, response.metrics.queue_seconds * 1e3);
   }
 
   std::string key;
@@ -524,10 +504,7 @@ SolveResponse JobScheduler::RunBackend(Job& job, const std::string& backend,
     if (attempt == 1) {
       Stopwatch lookup_watch;
       std::optional<SolveResponse> cached = cache_->Lookup(key);
-      if (collector != nullptr && attempt_span != nullptr) {
-        collector->Record(obs::ChildSpan(*attempt_span, "cache"),
-                          lookup_watch.ElapsedMillis());
-      }
+      obs::RecordSpan("cache", {}, lookup_watch.ElapsedMillis());
       if (cached.has_value()) {
         const double queue_seconds = response.metrics.queue_seconds;
         response = *std::move(cached);
@@ -549,10 +526,7 @@ SolveResponse JobScheduler::RunBackend(Job& job, const std::string& backend,
   Stopwatch watch;
   Execution execution;
   {
-    std::optional<obs::RequestScope> solve_scope;
-    if (attempt_span != nullptr) {
-      solve_scope.emplace(obs::ChildSpan(*attempt_span, "solve"));
-    }
+    obs::TraceSpan solve_span(obs::kRequestOnly, "solve");
     execution = ExecuteGuarded(job, backend, attempt);
   }
   Result<SolveOutcome>& outcome = execution.outcome;
@@ -688,9 +662,6 @@ SolveResponse JobScheduler::RunFallbackChain(Job& job,
                                              SolveResponse response,
                                              Status original) {
   auto& registry = obs::MetricsRegistry::Global();
-  // The chain hangs off whatever span is innermost at entry (the attempt
-  // subtree), so degraded executions stay inside the job's trace.
-  const obs::SpanContext* parent_span = obs::RequestScope::Current();
   const std::string reason = original.ToString();
   std::vector<std::string> visited{backend};
   std::string current = backend;
@@ -723,12 +694,10 @@ SolveResponse JobScheduler::RunFallbackChain(Job& job,
     Stopwatch watch;
     Execution execution;
     {
-      std::optional<obs::RequestScope> hop_scope;
-      std::optional<obs::RequestScope> solve_scope;
-      if (parent_span != nullptr) {
-        hop_scope.emplace(obs::ChildSpan(*parent_span, "fallback", current));
-        solve_scope.emplace(obs::ChildSpan(hop_scope->context(), "solve"));
-      }
+      // Hops hang off the innermost span (the attempt's svc.job), so
+      // degraded executions stay inside the job's trace.
+      obs::TraceSpan hop_span(obs::kRequestOnly, "fallback", current);
+      obs::TraceSpan solve_span(obs::kRequestOnly, "solve");
       execution = ExecuteGuarded(job, current, 1);
     }
     Result<SolveOutcome>& outcome = execution.outcome;
@@ -809,16 +778,10 @@ void JobScheduler::ScheduleRetry(const SubTask& task, int worker,
   registry.GetCounter("svc.backend." + backend + ".retries").Increment();
   registry.GetHistogram("svc.retries.backoff_ms").Record(delay_ms);
   registry.GetHistogram("svc.phase.backoff_ms").Record(delay_ms);
-  if (obs::SpanCollector* collector = obs::RequestScope::CurrentCollector()) {
-    // Current() is the racer scope here (the attempt scope closed before the
-    // retry decision), so backoffs sit between attempt subtrees. The span's
-    // duration is the computed delay, matching the histograms.
-    if (const obs::SpanContext* racer = obs::RequestScope::Current()) {
-      collector->Record(
-          obs::ChildSpan(*racer, "backoff", std::to_string(task.attempt)),
-          delay_ms);
-    }
-  }
+  // The current span is the racer's (the attempt span closed before the
+  // retry decision), so backoffs sit between attempt subtrees. The span's
+  // duration is the computed delay, matching the histograms.
+  obs::RecordSpan("backoff", std::to_string(task.attempt), delay_ms);
   if (obs::EventsEnabled()) {
     registry.GetCounter("svc.events.payloads_built").Increment();
     obs::EmitEvent(obs::EventLevel::kWarn, "svc", "job_retry",

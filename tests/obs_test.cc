@@ -19,7 +19,6 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/openmetrics.h"
-#include "obs/reqtrace.h"
 #include "obs/run_report.h"
 #include "obs/trace.h"
 #include "scratch_dir.h"
@@ -224,14 +223,15 @@ TEST(MetricsRegistryTest, ConcurrentRecordingIsExact) {
 // --- Tracing -----------------------------------------------------------------
 
 TEST(TraceTest, SpansNestAndMerge) {
-  Tracer tracer;
+  Tracer& tracer = Tracer::Global();
+  tracer.Reset();
   for (int i = 0; i < 3; ++i) {
-    TraceSpan outer("solve", tracer);
+    TraceSpan outer("solve");
     {
-      TraceSpan inner("probe", tracer);
+      TraceSpan inner("probe");
     }
     {
-      TraceSpan inner("probe", tracer);
+      TraceSpan inner("probe");
     }
   }
   const TraceNodeSnapshot root = tracer.Snapshot();
@@ -248,12 +248,13 @@ TEST(TraceTest, SpansNestAndMerge) {
 }
 
 TEST(TraceTest, SiblingSpansStaySiblings) {
-  Tracer tracer;
+  Tracer& tracer = Tracer::Global();
+  tracer.Reset();
   {
-    TraceSpan a("a", tracer);
+    TraceSpan a("a");
   }
   {
-    TraceSpan b("b", tracer);
+    TraceSpan b("b");
   }
   const TraceNodeSnapshot root = tracer.Snapshot();
   ASSERT_EQ(root.children.size(), 2u);
@@ -262,19 +263,20 @@ TEST(TraceTest, SiblingSpansStaySiblings) {
 }
 
 TEST(TraceTest, ResetDropsSpans) {
-  Tracer tracer;
+  Tracer& tracer = Tracer::Global();
   {
-    TraceSpan span("x", tracer);
+    TraceSpan span("x");
   }
   tracer.Reset();
   EXPECT_TRUE(tracer.Snapshot().children.empty());
 }
 
 TEST(TraceTest, FormatTraceTreeMentionsEverySpan) {
-  Tracer tracer;
+  Tracer& tracer = Tracer::Global();
+  tracer.Reset();
   {
-    TraceSpan outer("outer", tracer);
-    TraceSpan inner("inner", tracer);
+    TraceSpan outer("outer");
+    TraceSpan inner("inner");
   }
   const std::string text = FormatTraceTree(tracer.Snapshot());
   EXPECT_NE(text.find("outer"), std::string::npos);
@@ -282,13 +284,14 @@ TEST(TraceTest, FormatTraceTreeMentionsEverySpan) {
 }
 
 TEST(TraceTest, ThreadsRecordIndependentStacks) {
-  Tracer tracer;
+  Tracer& tracer = Tracer::Global();
+  tracer.Reset();
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&tracer] {
+    threads.emplace_back([] {
       for (int i = 0; i < 100; ++i) {
-        TraceSpan outer("work", tracer);
-        TraceSpan inner("step", tracer);
+        TraceSpan outer("work");
+        TraceSpan inner("step");
       }
     });
   }
@@ -525,15 +528,16 @@ TEST(EventSinkTest, GlobalInstallGatesEmitEvent) {
 
 TEST(RunReportTest, JsonRoundTripCarriesMetricsAndTrace) {
   MetricsRegistry registry;
-  Tracer tracer;
+  Tracer& tracer = Tracer::Global();
+  tracer.Reset();
   registry.GetCounter("solver.calls").Add(7);
   registry.GetGauge("solver.best").Set(4.0);
   registry.GetHistogram("solver.cost").Record(100.0);
   registry.GetSeries("solver.trajectory").Append(1.0);
   registry.GetSeries("solver.trajectory").Append(2.0);
   {
-    TraceSpan outer("solve", tracer);
-    TraceSpan inner("probe", tracer);
+    TraceSpan outer("solve");
+    TraceSpan inner("probe");
   }
 
   RunReport report("unit_test");
@@ -584,124 +588,169 @@ TEST(ReqTraceTest, IdsAreStructuralAndDeterministic) {
 }
 
 TEST(ReqTraceTest, ChildSpansChainPathsAndParents) {
+  const std::filesystem::path path = EventsTempPath("chain.jsonl");
+  Result<std::unique_ptr<EventSink>> sink = EventSink::Open(path.string());
+  ASSERT_TRUE(sink.ok()) << sink.status();
+  EventSink::InstallGlobal(sink.value().get());
+
   const std::uint64_t trace = DeriveTraceId("job-a", 1);
-  const SpanContext root = RootSpan(trace, "job");
-  EXPECT_EQ(root.parent_id, 0u);
-  EXPECT_EQ(root.path, "job");
-  EXPECT_EQ(root.trace_hex, IdHex(trace));
+  {
+    TraceSpan racer(trace, "racer", "bs");
+    TraceSpan attempt(kRequestOnly, "attempt", "1");
+    EXPECT_EQ(CurrentSpanPath(), "job/racer@bs/attempt@1");
+  }
+  {
+    // A second execution of the same racer, as after a retry.
+    TraceSpan racer(trace, "racer", "bs");
+    TraceSpan attempt(kRequestOnly, "attempt", "1");
+  }
+  {
+    TraceSpan racer(DeriveTraceId("job-b", 2), "racer", "bs");
+  }
+  EmitJobSpan(trace, 5.0);
+  EventSink::InstallGlobal(nullptr);
 
-  const SpanContext racer = ChildSpan(root, "racer", "bs");
-  EXPECT_EQ(racer.name, "racer@bs");
-  EXPECT_EQ(racer.path, "job/racer@bs");
-  EXPECT_EQ(racer.parent_id, root.span_id);
-  EXPECT_EQ(racer.trace_id, trace);
+  const std::vector<JsonValue> lines = ReadJsonlFile(path);
+  ASSERT_EQ(lines.size(), 6u);
+  const std::string trace_hex = IdHex(trace);
+  const std::string job_id = IdHex(Fnv1a64(trace_hex + ":job"));
+  EXPECT_EQ(lines[0].Find("trace")->AsString(), trace_hex);
+  EXPECT_EQ(lines[0].Find("name")->AsString(), "racer@bs");
+  EXPECT_EQ(lines[0].Find("path")->AsString(), "job/racer@bs");
+  EXPECT_EQ(lines[0].Find("parent")->AsString(), job_id);
+  EXPECT_EQ(lines[0].Find("span")->AsString(),
+            IdHex(Fnv1a64(trace_hex + ":job/racer@bs")));
+  EXPECT_EQ(lines[1].Find("name")->AsString(), "attempt@1");
+  EXPECT_EQ(lines[1].Find("path")->AsString(), "job/racer@bs/attempt@1");
+  EXPECT_EQ(lines[1].Find("parent")->AsString(),
+            lines[0].Find("span")->AsString());
 
-  const SpanContext attempt = ChildSpan(racer, "attempt", "1");
-  EXPECT_EQ(attempt.path, "job/racer@bs/attempt@1");
-  EXPECT_EQ(attempt.parent_id, racer.span_id);
-
-  // Structural: an independent recomputation of the same path yields the
-  // same span id (this is what merges retry attempts across worker threads).
-  const SpanContext again = ChildSpan(ChildSpan(root, "racer", "bs"),
-                                      "attempt", "1");
-  EXPECT_EQ(again.span_id, attempt.span_id);
+  // Structural: recomputing the same path yields the same span id (this is
+  // what merges retry attempts across worker threads).
+  EXPECT_EQ(lines[2].Find("span")->AsString(),
+            lines[0].Find("span")->AsString());
+  EXPECT_EQ(lines[3].Find("span")->AsString(),
+            lines[1].Find("span")->AsString());
 
   // Different traces never share span ids for the same path.
-  const SpanContext other_root = RootSpan(DeriveTraceId("job-b", 2), "job");
-  EXPECT_NE(ChildSpan(other_root, "racer", "bs").span_id, racer.span_id);
+  EXPECT_EQ(lines[4].Find("path")->AsString(), "job/racer@bs");
+  EXPECT_NE(lines[4].Find("span")->AsString(),
+            lines[0].Find("span")->AsString());
+
+  // The job root closes the trace.
+  EXPECT_EQ(lines[5].Find("name")->AsString(), "job");
+  EXPECT_EQ(lines[5].Find("path")->AsString(), "job");
+  EXPECT_EQ(lines[5].Find("span")->AsString(), job_id);
+  EXPECT_EQ(lines[5].Find("parent")->AsString(), "0000000000000000");
+  EXPECT_EQ(lines[5].Find("count")->AsInt(), 1);
+  EXPECT_DOUBLE_EQ(lines[5].Find("dur_ms")->AsDouble(), 5.0);
 }
 
-TEST(ReqTraceTest, RequestScopeStacksPerThread) {
-  EXPECT_EQ(RequestScope::Current(), nullptr);
-  EXPECT_EQ(RequestScope::CurrentCollector(), nullptr);
-  EXPECT_TRUE(CurrentTraceToken().empty());
-
-  const SpanContext root = RootSpan(DeriveTraceId("scoped", 3), "job");
-  SpanCollector collector;
+TEST(ReqTraceTest, SpanStackIsPerThread) {
+  const std::uint64_t trace = DeriveTraceId("scoped", 3);
   {
-    RequestScope outer(root, &collector);
-    ASSERT_NE(RequestScope::Current(), nullptr);
-    EXPECT_EQ(RequestScope::Current()->span_id, root.span_id);
-    EXPECT_EQ(RequestScope::CurrentCollector(), &collector);
-    EXPECT_EQ(CurrentTraceToken(), root.trace_hex);
-    {
-      RequestScope inner(ChildSpan(root, "solve"));
-      EXPECT_EQ(RequestScope::Current()->path, "job/solve");
-      // The inner scope inherits the outer scope's collector.
-      EXPECT_EQ(RequestScope::CurrentCollector(), &collector);
-    }
-    EXPECT_EQ(RequestScope::Current()->span_id, root.span_id);
+    // With events off no trace is opened.
+    TraceSpan racer(trace, "racer", "bs");
+    EXPECT_TRUE(CurrentTraceToken().empty());
+    EXPECT_TRUE(CurrentSpanPath().empty());
+  }
 
-    // Another thread sees an empty stack: scopes are thread-local, which is
+  const std::filesystem::path path = EventsTempPath("stack.jsonl");
+  Result<std::unique_ptr<EventSink>> sink = EventSink::Open(path.string());
+  ASSERT_TRUE(sink.ok()) << sink.status();
+  EventSink::InstallGlobal(sink.value().get());
+  {
+    TraceSpan racer(trace, "racer", "bs");
+    EXPECT_EQ(CurrentTraceToken(), IdHex(trace));
+    EXPECT_EQ(CurrentSpanPath(), "job/racer@bs");
+    {
+      TraceSpan solve(kRequestOnly, "solve");
+      EXPECT_EQ(CurrentSpanPath(), "job/racer@bs/solve");
+    }
+    EXPECT_EQ(CurrentSpanPath(), "job/racer@bs");
+
+    // Another thread sees an empty stack: spans are thread-local, which is
     // why solver-internal worker threads never attach orphan spans.
     std::thread([] {
-      EXPECT_EQ(RequestScope::Current(), nullptr);
       EXPECT_TRUE(CurrentTraceToken().empty());
+      TraceSpan solve(kRequestOnly, "solve");
+      EXPECT_TRUE(CurrentSpanPath().empty());
     }).join();
   }
-  EXPECT_EQ(RequestScope::Current(), nullptr);
-  EXPECT_EQ(RequestScope::CurrentCollector(), nullptr);
-  // Both closed scopes were recorded into the collector.
-  EXPECT_EQ(collector.size(), 2u);
+  EXPECT_TRUE(CurrentTraceToken().empty());
+  EventSink::InstallGlobal(nullptr);
+
+  // Both spans closed inside the trace were flushed, the other thread's not.
+  EXPECT_EQ(ReadJsonlFile(path).size(), 2u);
 }
 
-TEST(ReqTraceTest, SpanCollectorAggregatesAndFlushesSortedSpanEvents) {
+TEST(ReqTraceTest, TraceRootAggregatesAndFlushesSortedSpanEvents) {
   const std::filesystem::path path = EventsTempPath("spans.jsonl");
   Result<std::unique_ptr<EventSink>> sink = EventSink::Open(path.string());
   ASSERT_TRUE(sink.ok()) << sink.status();
   EventSink::InstallGlobal(sink.value().get());
 
-  const SpanContext root = RootSpan(DeriveTraceId("flush", 9), "job");
-  const SpanContext solve = ChildSpan(root, "solve");
   {
-    SpanCollector collector;
-    collector.Record(solve, 1.5);
-    collector.Record(solve, 2.5);  // merged: one line, count 2, 4.0 ms
-    collector.Record(root, 10.0);
-    EXPECT_EQ(collector.size(), 2u);
-    EXPECT_EQ(sink.value()->lines_written(), 0);  // nothing until flush
-  }  // dtor flushes
+    TraceSpan racer(DeriveTraceId("flush", 9), "racer", "bs");
+    {
+      TraceSpan solve(kRequestOnly, "solve");
+    }
+    {
+      TraceSpan solve(kRequestOnly, "solve");  // merged: one line, count 2
+    }
+    RecordSpan("backoff", "1", 1.5);
+    RecordSpan("backoff", "1", 2.5);
+    EXPECT_EQ(sink.value()->lines_written(), 0);  // nothing until the root
+  }                                               // closes
   EventSink::InstallGlobal(nullptr);
 
   const std::vector<JsonValue> lines = ReadJsonlFile(path);
-  ASSERT_EQ(lines.size(), 2u);
-  // Path-sorted: "job" before "job/solve".
+  ASSERT_EQ(lines.size(), 3u);
+  // Path-sorted: the root before its children, "backoff" before "solve".
   EXPECT_EQ(lines[0].Find("event")->AsString(), "span");
   EXPECT_EQ(lines[0].Find("solver")->AsString(), "trace");
-  EXPECT_EQ(lines[0].Find("path")->AsString(), "job");
-  EXPECT_EQ(lines[0].Find("parent")->AsString(), "0000000000000000");
+  EXPECT_EQ(lines[0].Find("path")->AsString(), "job/racer@bs");
   EXPECT_EQ(lines[0].Find("count")->AsInt(), 1);
-  EXPECT_EQ(lines[1].Find("path")->AsString(), "job/solve");
-  EXPECT_EQ(lines[1].Find("trace")->AsString(), root.trace_hex);
-  EXPECT_EQ(lines[1].Find("span")->AsString(), IdHex(solve.span_id));
-  EXPECT_EQ(lines[1].Find("parent")->AsString(), IdHex(root.span_id));
+  EXPECT_EQ(lines[1].Find("path")->AsString(), "job/racer@bs/backoff@1");
+  EXPECT_EQ(lines[1].Find("name")->AsString(), "backoff@1");
+  EXPECT_EQ(lines[1].Find("parent")->AsString(),
+            lines[0].Find("span")->AsString());
   EXPECT_EQ(lines[1].Find("count")->AsInt(), 2);
   EXPECT_DOUBLE_EQ(lines[1].Find("dur_ms")->AsDouble(), 4.0);
+  EXPECT_EQ(lines[2].Find("path")->AsString(), "job/racer@bs/solve");
+  EXPECT_EQ(lines[2].Find("count")->AsInt(), 2);
 }
 
-TEST(ReqTraceTest, TraceSpanBridgesIntoActiveRequestScope) {
-  const std::filesystem::path path = EventsTempPath("bridge.jsonl");
+TEST(ReqTraceTest, TraceSpanFeedsTheTreeAndTheTrace) {
+  const std::filesystem::path path = EventsTempPath("sinks.jsonl");
   Result<std::unique_ptr<EventSink>> sink = EventSink::Open(path.string());
   ASSERT_TRUE(sink.ok()) << sink.status();
   EventSink::InstallGlobal(sink.value().get());
 
   Tracer::Global().Reset();
-  const SpanContext root = RootSpan(DeriveTraceId("bridged", 4), "job");
   {
-    SpanCollector collector;
-    {
-      RequestScope scope(root, &collector);
-      TraceSpan solver_span("solver.work");  // bridges under the scope
-    }
+    TraceSpan racer(DeriveTraceId("sinks", 4), "racer", "bs");
+    TraceSpan job("svc.job");
+    TraceSpan solve(kRequestOnly, "solve");
+    TraceSpan solver_span("solver.work");
   }
   EventSink::InstallGlobal(nullptr);
+
+  // Request-only spans get no tree node: solver.work nests under svc.job.
+  const TraceNodeSnapshot root = Tracer::Global().Snapshot();
   Tracer::Global().Reset();
+  ASSERT_EQ(root.children.size(), 1u);
+  EXPECT_EQ(root.children[0].name, "svc.job");
+  ASSERT_EQ(root.children[0].children.size(), 1u);
+  EXPECT_EQ(root.children[0].children[0].name, "solver.work");
+  EXPECT_EQ(root.children[0].children[0].count, 1);
 
   const std::vector<JsonValue> lines = ReadJsonlFile(path);
-  ASSERT_EQ(lines.size(), 2u);
-  EXPECT_EQ(lines[0].Find("path")->AsString(), "job");
-  EXPECT_EQ(lines[1].Find("path")->AsString(), "job/solver.work");
-  EXPECT_EQ(lines[1].Find("parent")->AsString(), IdHex(root.span_id));
+  ASSERT_EQ(lines.size(), 4u);
+  EXPECT_EQ(lines[3].Find("path")->AsString(),
+            "job/racer@bs/svc.job/solve/solver.work");
+  EXPECT_EQ(lines[3].Find("parent")->AsString(),
+            lines[2].Find("span")->AsString());
 }
 
 TEST(EventSinkTest, ProgressScopeSeparatesConcurrentRequests) {
@@ -734,7 +783,7 @@ TEST(EventSinkTest, ProgressScopeSeparatesConcurrentRequests) {
   EXPECT_EQ(lines[1].Find("nodes")->AsInt(), 2);
 }
 
-TEST(EventSinkTest, HeartbeatPicksUpActiveRequestScope) {
+TEST(EventSinkTest, HeartbeatPicksUpActiveTrace) {
   const std::filesystem::path path = EventsTempPath("scoped_heartbeat.jsonl");
   Result<std::unique_ptr<EventSink>> sink =
       EventSink::Open(path.string(), 3'600'000);
@@ -742,10 +791,10 @@ TEST(EventSinkTest, HeartbeatPicksUpActiveRequestScope) {
   EventSink::InstallGlobal(sink.value().get());
 
   ProgressHeartbeat heartbeat("bs");
-  const SpanContext job_a = RootSpan(DeriveTraceId("job-a", 1), "job");
-  const SpanContext job_b = RootSpan(DeriveTraceId("job-b", 2), "job");
+  const std::uint64_t job_a = DeriveTraceId("job-a", 1);
+  const std::uint64_t job_b = DeriveTraceId("job-b", 2);
   {
-    RequestScope scope(job_a);
+    TraceSpan racer(job_a, "racer", "bs");
     EXPECT_TRUE(heartbeat.Due());
     heartbeat.Emit({{"nodes", 10}});
     EXPECT_FALSE(heartbeat.Due());
@@ -754,16 +803,19 @@ TEST(EventSinkTest, HeartbeatPicksUpActiveRequestScope) {
     // A different request: its first heartbeat through the same solver site
     // is due despite job A having just emitted (the regression this guards:
     // un-scoped keys let one racing job starve the other's heartbeats).
-    RequestScope scope(job_b);
+    TraceSpan racer(job_b, "racer", "bs");
     EXPECT_TRUE(heartbeat.Due());
     heartbeat.Emit({{"nodes", 20}});
   }
   EventSink::InstallGlobal(nullptr);
 
+  // Each trace root flushes its span line after the heartbeat.
   const std::vector<JsonValue> lines = ReadJsonlFile(path);
-  ASSERT_EQ(lines.size(), 2u);
-  EXPECT_EQ(lines[0].Find("trace")->AsString(), job_a.trace_hex);
-  EXPECT_EQ(lines[1].Find("trace")->AsString(), job_b.trace_hex);
+  ASSERT_EQ(lines.size(), 4u);
+  EXPECT_EQ(lines[0].Find("event")->AsString(), "progress");
+  EXPECT_EQ(lines[0].Find("trace")->AsString(), IdHex(job_a));
+  EXPECT_EQ(lines[2].Find("event")->AsString(), "progress");
+  EXPECT_EQ(lines[2].Find("trace")->AsString(), IdHex(job_b));
 }
 
 // --- OpenMetrics -------------------------------------------------------------

@@ -274,5 +274,40 @@ TEST(CliSmokeTest, BenchdiffFailsOnCountRegression) {
   EXPECT_NE(text.find("FAIL"), std::string::npos);
 }
 
+TEST(CliSmokeTest, BenchdiffRejectsARuleThatMatchesNoMetricOfItsReport) {
+  // Directory sides prefix every metric with its report's stem ("Fixture/").
+  const std::filesystem::path baseline = ScratchDir() / "base_dir";
+  const std::filesystem::path candidate = ScratchDir() / "cand_dir";
+  std::filesystem::create_directories(baseline);
+  std::filesystem::create_directories(candidate);
+  std::filesystem::copy_file(WriteFixtureReport("fixture_a.json", 10),
+                             baseline / "BENCH_Fixture.json");
+  std::filesystem::copy_file(WriteFixtureReport("fixture_b.json", 10),
+                             candidate / "BENCH_Fixture.json");
+  const auto run_with_rules = [&](const std::string& name,
+                                  const std::string& rules) {
+    const std::filesystem::path config = ScratchDir() / (name + ".json");
+    std::ofstream(config) << "{\"rules\": [" << rules << "]}";
+    return RunBinary(QPLEX_BENCHDIFF_PATH,
+                     "--baseline " + baseline.string() + " --candidate " +
+                         candidate.string() + " --config " + config.string(),
+                     "", (ScratchDir() / (name + ".err")).string());
+  };
+
+  EXPECT_EQ(run_with_rules("live", R"({"match": "Fixture/oracle.*", )"
+                                   R"("action": "exact"})"),
+            0);
+  // Names a compared report but none of its metrics: a dead rule.
+  EXPECT_EQ(run_with_rules("dead", R"({"match": "Fixture/trace.bs.*", )"
+                                   R"("action": "exact"})"),
+            2);
+  EXPECT_NE(ReadFile(ScratchDir() / "dead.err").find("Fixture/trace.bs.*"),
+            std::string::npos);
+  // A rule for a report that is not being compared stays quiet.
+  EXPECT_EQ(run_with_rules("absent", R"({"match": "Other/trace.bs.*", )"
+                                     R"("action": "exact"})"),
+            0);
+}
+
 }  // namespace
 }  // namespace qplex

@@ -166,7 +166,8 @@ Result<MkpSolution> GraspSolver::Solve(const Graph& graph, int k) {
   if (k < 1) {
     return Status::InvalidArgument("k must be >= 1");
   }
-  if (options_.iterations < 1 || options_.alpha < 0 || options_.alpha > 1) {
+  if (options_.iterations < 1 ||
+      !(options_.alpha >= 0 && options_.alpha <= 1)) {
     return Status::InvalidArgument("bad GRASP options");
   }
   stats_ = GraspStats{};

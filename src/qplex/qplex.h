@@ -44,6 +44,7 @@
 #include "classical/reduce.h"
 #include "common/cancel.h"
 #include "common/parallel.h"
+#include "common/parse.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/stopwatch.h"

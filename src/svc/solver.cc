@@ -1,24 +1,8 @@
 #include "svc/solver.h"
 
-#include <charconv>
+#include "common/parse.h"
 
 namespace qplex::svc {
-namespace {
-
-template <typename T>
-Result<T> ParseNumber(std::string_view key, const std::string& value) {
-  T parsed{};
-  const char* begin = value.data();
-  const char* end = begin + value.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, parsed);
-  if (ec != std::errc{} || ptr != end || value.empty()) {
-    return Status::InvalidArgument("bad value for option '" +
-                                   std::string(key) + "': '" + value + "'");
-  }
-  return parsed;
-}
-
-}  // namespace
 
 Result<int> OptionInt(const SolveRequest& request, std::string_view key,
                       int fallback) {
@@ -26,7 +10,7 @@ Result<int> OptionInt(const SolveRequest& request, std::string_view key,
   if (it == request.options.end()) {
     return fallback;
   }
-  return ParseNumber<int>(key, it->second);
+  return ParseNumber<int>("option '" + std::string(key) + "'", it->second);
 }
 
 Result<double> OptionDouble(const SolveRequest& request, std::string_view key,
@@ -35,7 +19,8 @@ Result<double> OptionDouble(const SolveRequest& request, std::string_view key,
   if (it == request.options.end()) {
     return fallback;
   }
-  return ParseNumber<double>(key, it->second);
+  return ParseNumber<double>("option '" + std::string(key) + "'",
+                             it->second);
 }
 
 Result<std::string> OptionString(const SolveRequest& request,

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <tuple>
 
 #include "classical/bs_solver.h"
@@ -218,6 +219,8 @@ TEST(GraspTest, PureGreedyAndPureRandomBothValid) {
 TEST(GraspTest, Validation) {
   GraspOptions bad;
   bad.alpha = 2.0;
+  EXPECT_FALSE(GraspSolver(bad).Solve(PathGraph(3), 1).ok());
+  bad.alpha = std::numeric_limits<double>::quiet_NaN();
   EXPECT_FALSE(GraspSolver(bad).Solve(PathGraph(3), 1).ok());
   EXPECT_FALSE(GraspSolver().Solve(PathGraph(3), 0).ok());
   EXPECT_EQ(GraspSolver().Solve(Graph(0), 2).value().size, 0);

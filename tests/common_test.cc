@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/parallel.h"
+#include "common/parse.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/stopwatch.h"
@@ -51,6 +52,22 @@ Result<int> ParsePositive(int x) {
     return Status::InvalidArgument("not positive");
   }
   return x;
+}
+
+TEST(ParseNumberTest, AcceptsWholeFiniteNumbersOnly) {
+  EXPECT_EQ(ParseNumber<int>("--k", "12").value(), 12);
+  EXPECT_EQ(ParseNumber<std::uint64_t>("--seed", "7").value(), 7u);
+  EXPECT_EQ(ParseNumber<double>("--slo-ms", "2.5e1").value(), 25.0);
+  for (const char* bad : {"", "x", "2x", " 3", "99999999999999999999"}) {
+    EXPECT_FALSE(ParseNumber<int>("--k", bad).ok()) << "'" << bad << "'";
+  }
+  for (const char* bad : {"nan", "NaN", "inf", "-inf", "infinity", "1e999"}) {
+    const Result<double> parsed = ParseNumber<double>("option 'alpha'", bad);
+    ASSERT_FALSE(parsed.ok()) << bad;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(parsed.status().message().find("option 'alpha'"),
+              std::string::npos);
+  }
 }
 
 TEST(ResultTest, HoldsValue) {

@@ -372,6 +372,39 @@ TEST(ServeSmokeTest, UnknownBackendIsRejectedBeforeAnyJobRuns) {
   EXPECT_TRUE(ReadFile(journal).empty());
 }
 
+TEST(ServeSmokeTest, NonFiniteNumbersAreRejected) {
+  // "nan" passes every `x < lo || x > hi` range check, so the one strict
+  // number parser refuses it: in a job's options it fails that job only,
+  // and on the command line it is a usage error.
+  const std::filesystem::path jobs = ScratchDir() / "nan_batch.jsonl";
+  std::ofstream(jobs) << R"({"id":"alpha","k":2,"backend":"grasp",)"
+                      << R"("options":{"alpha":"nan"},"graph":)"
+                      << kTwoBlockGraph << "}\n"
+                      << R"({"id":"limit","k":2,"backend":"milp",)"
+                      << R"("options":{"time_limit":"nan"},"graph":)"
+                      << kTwoBlockGraph << "}\n";
+  const std::filesystem::path journal = ScratchDir() / "journal_nan.jsonl";
+  ASSERT_EQ(RunServe("--jobs " + jobs.string() + " --journal " +
+                     journal.string()),
+            0);
+  const std::string text = ReadFile(journal);
+  for (const char* label : {"alpha", "limit"}) {
+    EXPECT_NE(text.find("\"label\":\"" + std::string(label) +
+                        "\",\"status\":\"InvalidArgument\""),
+              std::string::npos)
+        << label << " in " << text;
+  }
+
+  const std::filesystem::path good = ScratchDir() / "one_job.jsonl";
+  std::ofstream(good) << R"({"id":"ok","k":2,"backend":"bs","graph":)"
+                      << kTwoBlockGraph << "}\n";
+  EXPECT_EQ(RunServe("--jobs " + good.string()), 0);
+  EXPECT_EQ(RunServe("--jobs " + good.string() + " --slo-ms nan"), 2);
+  EXPECT_EQ(RunServe("--jobs " + good.string() + " --watchdog-poll-ms nan"), 2);
+  EXPECT_EQ(RunServe("--jobs " + good.string() + " --watchdog-stall-ms inf"),
+            2);
+}
+
 // ---------------------------------------------------------------------------
 // Resilience: chaos runs, crash-safe journaling + resume, admission backoff.
 

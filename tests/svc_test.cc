@@ -173,12 +173,27 @@ TEST(RegistryTest, MalformedOptionFailsTheJob) {
   SolveRequest request;
   request.graph = TwoBlockGraph();
   request.k = 2;
-  request.backend = "grasp";
-  request.options["iterations"] = "not-a-number";
-  const Result<SolveOutcome> outcome =
-      registry.Get("grasp")->Solve(request, SolveContext{});
-  ASSERT_FALSE(outcome.ok());
-  EXPECT_EQ(outcome.status().code(), StatusCode::kInvalidArgument);
+  // Non-finite numbers are malformed too: a NaN alpha slips past every
+  // range check and a NaN time limit would lift milp's default cap.
+  const struct {
+    const char* backend;
+    const char* key;
+    const char* value;
+  } cases[] = {{"grasp", "iterations", "not-a-number"},
+               {"grasp", "alpha", "nan"},
+               {"grasp", "alpha", "inf"},
+               {"grasp", "alpha", "-inf"},
+               {"milp", "time_limit", "nan"}};
+  for (const auto& bad : cases) {
+    request.backend = bad.backend;
+    request.options = {{bad.key, bad.value}};
+    const Result<SolveOutcome> outcome =
+        registry.Get(bad.backend)->Solve(request, SolveContext{});
+    ASSERT_FALSE(outcome.ok()) << bad.key << "=" << bad.value;
+    EXPECT_EQ(outcome.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(outcome.status().message().find(bad.key), std::string::npos)
+        << outcome.status();
+  }
 }
 
 class SchedulerTest : public ::testing::Test {

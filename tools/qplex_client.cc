@@ -51,6 +51,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/parse.h"
 #include "common/status.h"
 #include "net/frame.h"
 #include "net/io.h"
@@ -84,21 +85,6 @@ void PrintUsage() {
          "                    [--request-timeout-ms <int>]\n";
 }
 
-Result<int> ParseIntFlag(const std::string& flag, const std::string& value) {
-  try {
-    std::size_t consumed = 0;
-    const int parsed = std::stoi(value, &consumed);
-    if (consumed != value.size()) {
-      return Status::InvalidArgument("bad integer for " + flag + ": '" +
-                                     value + "'");
-    }
-    return parsed;
-  } catch (const std::exception&) {
-    return Status::InvalidArgument("bad integer for " + flag + ": '" + value +
-                                   "'");
-  }
-}
-
 Result<ClientOptions> ParseArgs(int argc, char** argv) {
   ClientOptions options;
   for (int i = 1; i < argc; ++i) {
@@ -111,7 +97,7 @@ Result<ClientOptions> ParseArgs(int argc, char** argv) {
     };
     if (arg == "--port") {
       QPLEX_ASSIGN_OR_RETURN(std::string value, next());
-      QPLEX_ASSIGN_OR_RETURN(options.port, ParseIntFlag(arg, value));
+      QPLEX_ASSIGN_OR_RETURN(options.port, ParseNumber<int>(arg, value));
     } else if (arg == "--requests") {
       QPLEX_ASSIGN_OR_RETURN(options.requests, next());
     } else if (arg == "--replay") {
@@ -125,7 +111,8 @@ Result<ClientOptions> ParseArgs(int argc, char** argv) {
       }
     } else if (arg == "--connections") {
       QPLEX_ASSIGN_OR_RETURN(std::string value, next());
-      QPLEX_ASSIGN_OR_RETURN(options.connections, ParseIntFlag(arg, value));
+      QPLEX_ASSIGN_OR_RETURN(options.connections,
+                             ParseNumber<int>(arg, value));
     } else if (arg == "--out") {
       QPLEX_ASSIGN_OR_RETURN(options.out, next());
     } else if (arg == "--out-dir") {
@@ -133,10 +120,11 @@ Result<ClientOptions> ParseArgs(int argc, char** argv) {
     } else if (arg == "--disconnect-after") {
       QPLEX_ASSIGN_OR_RETURN(std::string value, next());
       QPLEX_ASSIGN_OR_RETURN(options.disconnect_after,
-                             ParseIntFlag(arg, value));
+                             ParseNumber<int>(arg, value));
     } else if (arg == "--request-timeout-ms" || arg == "--timeout-ms") {
       QPLEX_ASSIGN_OR_RETURN(std::string value, next());
-      QPLEX_ASSIGN_OR_RETURN(options.timeout_ms, ParseIntFlag(arg, value));
+      QPLEX_ASSIGN_OR_RETURN(options.timeout_ms,
+                             ParseNumber<int>(arg, value));
     } else if (arg == "--help" || arg == "-h") {
       return Status::InvalidArgument("help requested");
     } else {

@@ -90,21 +90,6 @@ void PrintUsage() {
                "[--fail-on-orphans]\n";
 }
 
-Result<double> ParseFloat(const std::string& flag, const std::string& value) {
-  try {
-    std::size_t consumed = 0;
-    const double parsed = std::stod(value, &consumed);
-    if (consumed != value.size()) {
-      return Status::InvalidArgument("bad number for " + flag + ": '" + value +
-                                     "'");
-    }
-    return parsed;
-  } catch (const std::exception&) {
-    return Status::InvalidArgument("bad number for " + flag + ": '" + value +
-                                   "'");
-  }
-}
-
 Result<ObsOptions> ParseArgs(int argc, char** argv) {
   ObsOptions options;
   for (int i = 1; i < argc; ++i) {
@@ -129,7 +114,8 @@ Result<ObsOptions> ParseArgs(int argc, char** argv) {
       QPLEX_ASSIGN_OR_RETURN(options.slo, next());
     } else if (arg == "--slo-ms") {
       QPLEX_ASSIGN_OR_RETURN(std::string value, next());
-      QPLEX_ASSIGN_OR_RETURN(options.slo_ms, ParseFloat(arg, value));
+      QPLEX_ASSIGN_OR_RETURN(options.slo_ms,
+                             ParseNumber<double>(arg, value));
     } else if (arg == "--convergence") {
       QPLEX_ASSIGN_OR_RETURN(options.convergence, next());
     } else if (arg == "--convergence-timing") {

@@ -37,7 +37,6 @@
 // shedding; clients probe them with {"type": "health", "id": "..."}.
 // --fault-spec arms the deterministic fault injector (DESIGN.md section 10).
 
-#include <charconv>
 #include <csignal>
 #include <fstream>
 #include <iostream>
@@ -105,34 +104,6 @@ void PrintUsage() {
                "                   [--shed-target-ms <float>]\n";
 }
 
-template <typename T>
-Result<T> ParseInt(const std::string& flag, const std::string& value) {
-  T parsed{};
-  const char* begin = value.data();
-  const char* end = begin + value.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, parsed);
-  if (ec != std::errc{} || ptr != end || value.empty()) {
-    return Status::InvalidArgument("bad integer for " + flag + ": '" + value +
-                                   "'");
-  }
-  return parsed;
-}
-
-Result<double> ParseFloat(const std::string& flag, const std::string& value) {
-  try {
-    std::size_t consumed = 0;
-    const double parsed = std::stod(value, &consumed);
-    if (consumed != value.size()) {
-      return Status::InvalidArgument("bad number for " + flag + ": '" + value +
-                                     "'");
-    }
-    return parsed;
-  } catch (const std::exception&) {
-    return Status::InvalidArgument("bad number for " + flag + ": '" + value +
-                                   "'");
-  }
-}
-
 Result<ServeOptions> ParseArgs(int argc, char** argv) {
   ServeOptions options;
   svc::FrontEndOptions& front_end = options.front_end;
@@ -146,11 +117,11 @@ Result<ServeOptions> ParseArgs(int argc, char** argv) {
     };
     auto next_int = [&]() -> Result<int> {
       QPLEX_ASSIGN_OR_RETURN(const std::string value, next());
-      return ParseInt<int>(arg, value);
+      return ParseNumber<int>(arg, value);
     };
     auto next_float = [&]() -> Result<double> {
       QPLEX_ASSIGN_OR_RETURN(const std::string value, next());
-      return ParseFloat(arg, value);
+      return ParseNumber<double>(arg, value);
     };
     if (arg == "--jobs") {
       QPLEX_ASSIGN_OR_RETURN(options.jobs, next());
@@ -195,7 +166,7 @@ Result<ServeOptions> ParseArgs(int argc, char** argv) {
     } else if (arg == "--max-sim-bytes") {
       QPLEX_ASSIGN_OR_RETURN(std::string value, next());
       QPLEX_ASSIGN_OR_RETURN(options.max_sim_bytes,
-                             ParseInt<std::uint64_t>(arg, value));
+                             ParseNumber<std::uint64_t>(arg, value));
       if (options.max_sim_bytes == 0) {
         return Status::InvalidArgument("--max-sim-bytes must be >= 1");
       }
@@ -208,7 +179,7 @@ Result<ServeOptions> ParseArgs(int argc, char** argv) {
     } else if (arg == "--max-line-bytes") {
       QPLEX_ASSIGN_OR_RETURN(std::string value, next());
       QPLEX_ASSIGN_OR_RETURN(front_end.max_line_bytes,
-                             ParseInt<std::size_t>(arg, value));
+                             ParseNumber<std::size_t>(arg, value));
       if (front_end.max_line_bytes < 2) {
         return Status::InvalidArgument("--max-line-bytes must be >= 2");
       }

@@ -140,8 +140,7 @@ class GraspBackend : public Solver {
 Result<QtkpOptions> BuildQtkpOptions(const SolveRequest& request) {
   QtkpOptions options;
   // The faithful circuit backend is exponential in gate count; past ~10
-  // vertices the provably-identical predicate backend keeps service jobs
-  // tractable (same policy as qplex_cli).
+  // vertices the provably-identical predicate backend keeps jobs tractable.
   QPLEX_ASSIGN_OR_RETURN(
       std::string oracle,
       OptionString(request, "oracle",

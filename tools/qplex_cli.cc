@@ -2,11 +2,15 @@
 // DIMACS or edge-list format, with a selectable solver backend.
 //
 //   qplex_cli --input graph.col [--format dimacs|edgelist] [--k 2]
-//             [--algorithm bs|enum|qmkp|qamkp|milp] [--seed 1]
+//             [--algorithm <backend>|qamkp] [--seed 1]
 //             [--threads N] [--metrics-json <file|->] [--metrics-prom <file>]
 //             [--verbose-trace]
 //             [--events <file|->] [--progress-interval-ms N]
 //
+// --algorithm names any backend of the service registry (bs, enum, grasp,
+// qtkp, qmkp, sa, pt, pia, hybrid, milp; see svc/registry.h) or qamkp, the
+// paper's name for hybrid. The CLI calls that backend's Solver::Solve
+// directly: no job scheduler, cache, retry or fallback sits in between.
 // With --input - the graph is read from stdin. --metrics-json writes a
 // structured run report (counters, histograms, trace tree) after solving;
 // --metrics-prom writes the same registry as OpenMetrics text exposition;
@@ -17,9 +21,6 @@
 // state-vector kernels of the quantum solvers (qmkp); results are
 // bit-identical for any thread count.
 
-#include <charconv>
-#include <cmath>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <sstream>
@@ -48,8 +49,8 @@ struct CliOptions {
 
 void PrintUsage() {
   std::cerr << "usage: qplex_cli --input <file|-> [--format dimacs|edgelist]\n"
-               "                 [--k <int>] [--algorithm "
-               "bs|enum|qmkp|qamkp|milp] [--seed <int>]\n"
+               "                 [--k <int>] [--algorithm <backend>|qamkp] "
+               "[--seed <int>]\n"
                "                 [--threads <int>] [--metrics-json <file|->] "
                "[--metrics-prom <file>]\n"
                "                 [--verbose-trace]\n"
@@ -57,21 +58,6 @@ void PrintUsage() {
                "[--progress-interval-ms <int>]\n"
                "                 [--fault-spec site:rate[:seed]] "
                "[--max-sim-bytes <int>]\n";
-}
-
-/// Strict whole-string integer parse into `T`; rejects trailing junk,
-/// overflow, and empty input with InvalidArgument instead of throwing.
-template <typename T>
-Result<T> ParseInt(const std::string& flag, const std::string& value) {
-  T parsed{};
-  const char* begin = value.data();
-  const char* end = begin + value.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, parsed);
-  if (ec != std::errc{} || ptr != end || value.empty()) {
-    return Status::InvalidArgument("bad integer for " + flag + ": '" + value +
-                                   "'");
-  }
-  return parsed;
 }
 
 Result<CliOptions> ParseArgs(int argc, char** argv) {
@@ -92,13 +78,14 @@ Result<CliOptions> ParseArgs(int argc, char** argv) {
       QPLEX_ASSIGN_OR_RETURN(options.algorithm, next());
     } else if (arg == "--k") {
       QPLEX_ASSIGN_OR_RETURN(std::string value, next());
-      QPLEX_ASSIGN_OR_RETURN(options.k, ParseInt<int>(arg, value));
+      QPLEX_ASSIGN_OR_RETURN(options.k, ParseNumber<int>(arg, value));
     } else if (arg == "--seed") {
       QPLEX_ASSIGN_OR_RETURN(std::string value, next());
-      QPLEX_ASSIGN_OR_RETURN(options.seed, ParseInt<std::uint64_t>(arg, value));
+      QPLEX_ASSIGN_OR_RETURN(options.seed,
+                             ParseNumber<std::uint64_t>(arg, value));
     } else if (arg == "--threads") {
       QPLEX_ASSIGN_OR_RETURN(std::string value, next());
-      QPLEX_ASSIGN_OR_RETURN(options.threads, ParseInt<int>(arg, value));
+      QPLEX_ASSIGN_OR_RETURN(options.threads, ParseNumber<int>(arg, value));
     } else if (arg == "--metrics-json") {
       QPLEX_ASSIGN_OR_RETURN(options.metrics_json, next());
     } else if (arg == "--metrics-prom") {
@@ -110,7 +97,7 @@ Result<CliOptions> ParseArgs(int argc, char** argv) {
     } else if (arg == "--progress-interval-ms") {
       QPLEX_ASSIGN_OR_RETURN(std::string value, next());
       QPLEX_ASSIGN_OR_RETURN(options.progress_interval_ms,
-                             ParseInt<int>(arg, value));
+                             ParseNumber<int>(arg, value));
     } else if (arg == "--fault-spec") {
       QPLEX_ASSIGN_OR_RETURN(std::string value, next());
       if (!options.fault_spec.empty()) {
@@ -120,7 +107,7 @@ Result<CliOptions> ParseArgs(int argc, char** argv) {
     } else if (arg == "--max-sim-bytes") {
       QPLEX_ASSIGN_OR_RETURN(std::string value, next());
       QPLEX_ASSIGN_OR_RETURN(options.max_sim_bytes,
-                             ParseInt<std::uint64_t>(arg, value));
+                             ParseNumber<std::uint64_t>(arg, value));
       if (options.max_sim_bytes == 0) {
         return Status::InvalidArgument("--max-sim-bytes must be >= 1");
       }
@@ -159,113 +146,19 @@ Result<Graph> LoadGraph(const CliOptions& options) {
   return options.format == "dimacs" ? ParseDimacs(text) : ParseEdgeList(text);
 }
 
-Result<MkpSolution> Solve(const CliOptions& options, const Graph& graph) {
-  // Direct CLI solves run outside any request scope, so the incumbent events
-  // carry no trace/path; qplex_obs --convergence lists them as "(direct)".
-  if (options.algorithm == "bs") {
-    BsSolverOptions bs_options;
-    obs::IncumbentReporter reporter("bs");
-    if (reporter.enabled()) {
-      bs_options.on_incumbent = [&reporter](const MkpSolution& best,
-                                            const BsSolverStats& stats) {
-        reporter.Report(best.size, stats.branch_nodes);
-      };
-      bs_options.on_bound = [&reporter](double bound,
-                                        const BsSolverStats& stats) {
-        reporter.ReportBound(bound, stats.branch_nodes);
-      };
-    }
-    BsSolver solver(bs_options);
-    return solver.Solve(graph, options.k);
+/// Runs the requested registry backend once, outside any scheduler, so the
+/// run records no svc.* metrics or job span. Outside a request scope the
+/// incumbent events carry no trace/path; qplex_obs --convergence lists them
+/// as "(direct)".
+Result<MkpSolution> Solve(const svc::SolveRequest& request) {
+  const svc::SolverRegistry registry = svc::MakeBuiltinRegistry();
+  const svc::Solver* solver = registry.Get(request.backend);
+  if (solver == nullptr) {
+    return Status::InvalidArgument("unknown algorithm: " + request.backend);
   }
-  if (options.algorithm == "enum") {
-    EnumerationControl control;
-    obs::IncumbentReporter reporter("enum");
-    if (reporter.enabled()) {
-      control.on_incumbent = [&reporter](const MkpSolution& best,
-                                         std::uint64_t masks_scanned) {
-        reporter.Report(best.size, static_cast<std::int64_t>(masks_scanned));
-      };
-    }
-    return SolveMkpByEnumeration(graph, options.k, control);
-  }
-  if (options.algorithm == "qmkp") {
-    QtkpOptions qtkp;
-    qtkp.backend = graph.num_vertices() <= 10 ? OracleBackend::kCircuit
-                                              : OracleBackend::kPredicate;
-    qtkp.seed = options.seed;
-    qtkp.threads = options.threads;
-    obs::IncumbentReporter reporter("qmkp");
-    QmkpProgressCallback on_progress;
-    if (reporter.enabled()) {
-      on_progress = [&reporter](const QmkpProbe& /*probe*/,
-                                const QmkpResult& so_far) {
-        reporter.Report(so_far.best_size, so_far.total_oracle_calls);
-      };
-    }
-    QPLEX_ASSIGN_OR_RETURN(QmkpResult result,
-                           RunQmkp(graph, options.k, qtkp, on_progress));
-    MkpSolution solution;
-    solution.members = result.best_plex;
-    solution.size = result.best_size;
-    solution.mask = result.best_mask;
-    return solution;
-  }
-  if (options.algorithm == "qamkp") {
-    QPLEX_ASSIGN_OR_RETURN(MkpQubo qubo, BuildMkpQubo(graph, options.k));
-    HybridSolverOptions hybrid;
-    hybrid.seed = options.seed;
-    hybrid.refine = [&qubo](QuboSample* sample) { qubo.ImproveSample(sample); };
-    obs::IncumbentReporter reporter("hybrid");
-    if (reporter.enabled()) {
-      hybrid.hooks.on_new_best = [&reporter, &qubo](const QuboSample& sample,
-                                                    double energy,
-                                                    std::int64_t sweeps) {
-        reporter.Report(static_cast<int>(qubo.RepairToPlex(sample).size()),
-                        sweeps, energy);
-      };
-    }
-    QPLEX_ASSIGN_OR_RETURN(AnnealResult annealed,
-                           HybridSolver(hybrid).Run(qubo.model));
-    MkpSolution solution;
-    solution.members = qubo.RepairToPlex(annealed.best_sample);
-    solution.size = static_cast<int>(solution.members.size());
-    return solution;
-  }
-  if (options.algorithm == "milp") {
-    QPLEX_ASSIGN_OR_RETURN(MkpQubo qubo, BuildMkpQubo(graph, options.k));
-    const LinearizedQubo linearized = LinearizeQubo(qubo.model);
-    MilpSolverOptions milp_options;
-    milp_options.time_limit_seconds = 60;
-    milp_options.incumbent_heuristic =
-        MakeQuboRoundingHeuristic(qubo.model, linearized);
-    obs::IncumbentReporter reporter("milp");
-    if (reporter.enabled()) {
-      milp_options.on_incumbent = [&reporter, &qubo, &linearized](
-                                      const std::vector<double>& x,
-                                      double objective, std::int64_t nodes) {
-        const QuboSample sample = ExtractSample(linearized, x);
-        reporter.Report(static_cast<int>(qubo.RepairToPlex(sample).size()),
-                        nodes, objective);
-      };
-      milp_options.on_bound = [&reporter](double bound, std::int64_t nodes) {
-        // Objective lower bound -> plex-size upper bound (energy of a size-s
-        // plex is -s); see the milp service adapter for the derivation.
-        reporter.ReportBound(std::floor(-bound + 1e-6), nodes);
-      };
-    }
-    QPLEX_ASSIGN_OR_RETURN(MilpSolution milp,
-                           MilpSolver(milp_options).Solve(linearized.milp));
-    if (!milp.feasible) {
-      return Status::Internal("MILP produced no feasible point");
-    }
-    const QuboSample sample = ExtractSample(linearized, milp.x);
-    MkpSolution solution;
-    solution.members = qubo.RepairToPlex(sample);
-    solution.size = static_cast<int>(solution.members.size());
-    return solution;
-  }
-  return Status::InvalidArgument("unknown algorithm: " + options.algorithm);
+  QPLEX_ASSIGN_OR_RETURN(svc::SolveOutcome outcome,
+                         solver->Solve(request, svc::SolveContext{}));
+  return std::move(outcome.solution);
 }
 
 /// Builds the structured run report after a solve; meta fields capture the
@@ -306,12 +199,22 @@ int Main(int argc, char** argv) {
   if (options.value().max_sim_bytes > 0) {
     SetMaxSimulationBytes(options.value().max_sim_bytes);
   }
-  const Result<Graph> graph = LoadGraph(options.value());
-  if (!graph.ok()) {
-    std::cerr << "failed to load graph: " << graph.status() << "\n";
+  Result<Graph> loaded = LoadGraph(options.value());
+  if (!loaded.ok()) {
+    std::cerr << "failed to load graph: " << loaded.status() << "\n";
     return 1;
   }
-  std::cerr << "loaded " << graph.value().ToString() << ", solving k="
+  svc::SolveRequest request;
+  request.graph = std::move(loaded).value();
+  request.k = options.value().k;
+  // The paper's qaMKP is the registry's hybrid backend.
+  request.backend = options.value().algorithm == "qamkp"
+                        ? "hybrid"
+                        : options.value().algorithm;
+  request.seed = options.value().seed;
+  request.options["threads"] = std::to_string(options.value().threads);
+  const Graph& graph = request.graph;
+  std::cerr << "loaded " << graph.ToString() << ", solving k="
             << options.value().k << " via " << options.value().algorithm
             << "\n";
 
@@ -346,11 +249,11 @@ int Main(int argc, char** argv) {
                     {"algorithm", options.value().algorithm},
                     {"k", options.value().k},
                     {"seed", static_cast<std::int64_t>(options.value().seed)},
-                    {"num_vertices", graph.value().num_vertices()},
-                    {"num_edges", graph.value().num_edges()}});
+                    {"num_vertices", graph.num_vertices()},
+                    {"num_edges", graph.num_edges()}});
   }
   Stopwatch watch;
-  const Result<MkpSolution> solution = Solve(options.value(), graph.value());
+  const Result<MkpSolution> solution = Solve(request);
   const double wall_seconds = watch.ElapsedSeconds();
   if (!solution.ok()) {
     if (obs::EventsEnabled()) {
@@ -374,7 +277,7 @@ int Main(int argc, char** argv) {
 
   if (!options.value().metrics_json.empty() || options.value().verbose_trace) {
     const obs::RunReport report = BuildReport(
-        options.value(), graph.value(), solution.value(), wall_seconds);
+        options.value(), graph, solution.value(), wall_seconds);
     if (options.value().verbose_trace) {
       std::cerr << report.ToPrettyString();
     }
@@ -396,12 +299,11 @@ int Main(int argc, char** argv) {
     }
   }
   if (!options.value().metrics_prom.empty()) {
-    const std::string text =
-        obs::RenderOpenMetrics(obs::MetricsRegistry::Global().Snapshot());
-    std::ofstream out(options.value().metrics_prom, std::ios::trunc);
-    if (!out || !(out << text)) {
+    const Status written =
+        svc::WritePromSnapshot(options.value().metrics_prom);
+    if (!written.ok()) {
       std::cerr << "failed to write OpenMetrics exposition to "
-                << options.value().metrics_prom << "\n";
+                << options.value().metrics_prom << ": " << written << "\n";
       return 1;
     }
   }

@@ -1,7 +1,9 @@
 // Microbenchmarks of the quantum substrate: state-vector gate application,
-// Grover iterations, and literal-oracle basis-state execution.
+// Grover iterations, and bit-sliced execution of the literal oracle.
 
 #include <benchmark/benchmark.h>
+
+#include <cstdint>
 
 #include "common/rng.h"
 #include "graph/generators.h"
@@ -58,6 +60,19 @@ void BM_OracleEvaluate(benchmark::State& state) {
   state.counters["gates"] = static_cast<double>(oracle.circuit().num_gates());
 }
 BENCHMARK(BM_OracleEvaluate)->Arg(8)->Arg(10)->Arg(12);
+
+// The qMKP hot path: the whole marked set of one oracle, 64 masks per word.
+void BM_OracleMarkedStates(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const Graph graph = RandomGnm(n, n * (n - 1) / 4, 3).value();
+  const MkpOracle oracle = MkpOracle::Build(graph, 2, n / 2).value();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(oracle.MarkedStates().size());
+  }
+  state.SetItemsProcessed(state.iterations() * (std::int64_t{1} << n));
+  state.counters["gates"] = static_cast<double>(oracle.circuit().num_gates());
+}
+BENCHMARK(BM_OracleMarkedStates)->Arg(10)->Arg(12)->Arg(14);
 
 }  // namespace
 }  // namespace qplex

@@ -12,7 +12,8 @@ namespace qplex {
 
 /// How qTKP's marked set is obtained.
 enum class OracleBackend {
-  /// Execute the literal constructed oracle circuit per basis state
+  /// Execute the literal constructed oracle circuit on every basis state,
+  /// bit-sliced: 64 basis states per word op, stopping at the oracle flip
   /// (faithful; what the experiments use at paper scale).
   kCircuit,
   /// Evaluate the semantic k-plex predicate directly (identical results —

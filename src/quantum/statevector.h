@@ -34,7 +34,8 @@ Status CheckSimulationBudget(int num_qubits);
 /// The wide oracle ancillas never appear here: the oracle acts as a phase
 /// flip on the vertex register (the |O> = |-> kickback of the paper), with
 /// the marked set computed by running the literal oracle circuit through
-/// BasisStateSimulator once per basis state.
+/// the bit-sliced evaluator of quantum/basis_sim.h, 64 basis states per word
+/// operation.
 ///
 /// Gate application precomputes one (control_mask, control_value) pair per
 /// gate, so firing is a single mask compare per basis state instead of a

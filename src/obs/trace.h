@@ -145,7 +145,8 @@ void RecordSpan(std::string_view name, std::string_view qualifier,
 std::string_view CurrentSpanPath();
 
 /// Emits the "job" root span of trace `trace_id` (parent id 0, count 1) —
-/// the scheduler's last racer closes every job with it.
+/// the scheduler's last racer closes every job with it — and drops the
+/// trace's heartbeat throttle state, since no racer of the job is left.
 void EmitJobSpan(std::uint64_t trace_id, double total_ms);
 
 /// Renders a snapshot as an indented text tree with counts and timings —

@@ -3,9 +3,13 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <sstream>
+#include <string>
 
 #include "graph/instances.h"
+#include "grover/engine.h"
 #include "grover/full_circuit.h"
+#include "oracle/mkp_oracle.h"
 #include "quantum/qasm.h"
 #include "scratch_dir.h"
 
@@ -123,6 +127,28 @@ TEST(FullQtkpCircuitTest, ExportsToQasm) {
   EXPECT_NE(qasm.find("// stage: uncompute"), std::string::npos);
   // A real, runnable artifact: hundreds of lines of gates.
   EXPECT_GT(std::count(qasm.begin(), qasm.end(), '\n'), 500);
+}
+
+// Rebuilds the paper-example circuit the way examples/export_qasm does (k = 2,
+// T = 4, the optimal iteration count for its marked set) and requires the
+// export to equal the committed artifact byte for byte.
+TEST(FullQtkpCircuitTest, PaperExampleMatchesCommittedQasm) {
+  const Graph graph = PaperExampleGraph();
+  const MkpOracle oracle = MkpOracle::Build(graph, 2, 4).value();
+  const int iterations = OptimalGroverIterations(
+      graph.num_vertices(),
+      static_cast<std::int64_t>(oracle.MarkedStates().size()));
+  ASSERT_EQ(iterations, 6);
+  const FullQtkpCircuit full =
+      BuildFullQtkpCircuit(graph, 2, 4, iterations).value();
+
+  std::ifstream in(QPLEX_PAPER_EXAMPLE_QASM, std::ios::binary);
+  ASSERT_TRUE(in) << QPLEX_PAPER_EXAMPLE_QASM;
+  std::ostringstream golden;
+  golden << in.rdbuf();
+  const std::string qasm = ToQasm3(full.circuit).value();
+  ASSERT_EQ(qasm.size(), golden.str().size());
+  EXPECT_TRUE(qasm == golden.str());
 }
 
 }  // namespace

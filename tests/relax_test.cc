@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -158,6 +159,37 @@ TEST(Club2OracleTest, BuildValidation) {
   EXPECT_TRUE(Club2Oracle::Build(PaperExampleGraph(), 6).ok());
 }
 
+/// The circuit size and per-stage cost of the 2-club oracle on the paper's
+/// example graph at every threshold, pinned so that a change to how the
+/// oracle is assembled cannot silently change the circuit.
+TEST(Club2OracleTest, PinnedCircuitShapePerThreshold) {
+  struct Pin {
+    int threshold;
+    int num_qubits;
+    int num_gates;
+    std::vector<std::int64_t> stage_costs;
+  };
+  const std::vector<Pin> pins = {
+      {0, 41, 111, {0, 56, 99, 3, 155}},  {1, 41, 113, {0, 56, 100, 3, 156}},
+      {2, 41, 113, {0, 56, 100, 3, 156}}, {3, 41, 115, {0, 56, 101, 3, 157}},
+      {4, 41, 113, {0, 56, 100, 3, 156}}, {5, 41, 115, {0, 56, 101, 3, 157}},
+      {6, 41, 115, {0, 56, 101, 3, 157}},
+  };
+  const std::vector<std::string> stages = {"default", "pair_check",
+                                           "size_check", "oracle_flip",
+                                           "uncompute"};
+  for (const Pin& pin : pins) {
+    const Club2Oracle oracle =
+        Club2Oracle::Build(PaperExampleGraph(), pin.threshold).value();
+    EXPECT_EQ(oracle.num_qubits(), pin.num_qubits) << "T=" << pin.threshold;
+    EXPECT_EQ(oracle.circuit().num_gates(), pin.num_gates)
+        << "T=" << pin.threshold;
+    EXPECT_EQ(oracle.circuit().stage_names(), stages) << "T=" << pin.threshold;
+    EXPECT_EQ(oracle.circuit().CostsByStage(), pin.stage_costs)
+        << "T=" << pin.threshold;
+  }
+}
+
 TEST(QMax2ClubTest, MatchesEnumeration) {
   for (std::uint64_t seed : {2ull, 5ull, 9ull}) {
     const Graph graph = RandomGnm(9, 14, seed).value();
@@ -172,6 +204,33 @@ TEST(QMax2ClubTest, MatchesEnumeration) {
 TEST(QMax2ClubTest, StarGraph) {
   const Max2ClubResult result = RunQMax2Club(StarGraph(7), 3).value();
   EXPECT_EQ(result.size, 7);
+}
+
+/// Seeded answers and search counters of the Grover 2-club search, pinned on
+/// the graphs and seeds above: the measurement sequence, not just the optimum
+/// size, must survive refactors of the attempt loop.
+TEST(QMax2ClubTest, PinnedAnswersAndCounters) {
+  struct Pin {
+    Graph graph;
+    std::uint64_t seed;
+    int size;
+    std::uint64_t mask;
+    std::int64_t oracle_calls;
+    int probes;
+  };
+  const std::vector<Pin> pins = {
+      {RandomGnm(9, 14, 2).value(), 3, 6, 476, 16, 3},
+      {RandomGnm(9, 14, 5).value(), 6, 8, 495, 8, 3},
+      {RandomGnm(9, 14, 9).value(), 10, 6, 159, 17, 3},
+      {StarGraph(7), 3, 7, 127, 12, 3},
+  };
+  for (const Pin& pin : pins) {
+    const Max2ClubResult result = RunQMax2Club(pin.graph, pin.seed).value();
+    EXPECT_EQ(result.size, pin.size) << "seed " << pin.seed;
+    EXPECT_EQ(result.mask, pin.mask) << "seed " << pin.seed;
+    EXPECT_EQ(result.oracle_calls, pin.oracle_calls) << "seed " << pin.seed;
+    EXPECT_EQ(result.probes, pin.probes) << "seed " << pin.seed;
+  }
 }
 
 }  // namespace

@@ -83,6 +83,29 @@ void GroverSimulation::Run(int count) {
       .Record(SuccessProbability());
 }
 
+VerifiedAttempts GroverSimulation::RunAttempts(
+    Rng& rng, int budget, const std::function<int()>& next_iterations,
+    const std::function<bool(std::uint64_t)>& verify) {
+  VerifiedAttempts run;
+  while (run.attempts < budget) {
+    const int iterations = next_iterations();
+    Reset();
+    Run(iterations);
+    ++run.attempts;
+    run.oracle_calls += iterations;
+    const std::uint64_t sample = Measure(rng);
+    // Classical verification of the measured subset (cheap) — a failed
+    // verification triggers a re-run.
+    if (verify(sample)) {
+      run.found = true;
+      run.sample = sample;
+      run.iterations = iterations;
+      break;
+    }
+  }
+  return run;
+}
+
 double GroverSimulation::SuccessProbability() const {
   double total = 0.0;
   for (std::uint64_t basis : marked_) {

@@ -2,6 +2,7 @@
 #define QPLEX_GROVER_ENGINE_H_
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "common/rng.h"
@@ -24,6 +25,21 @@ double TheoreticalSuccessProbability(int num_qubits, std::int64_t num_marked,
 /// Gate-cost model of one diffusion operator on n qubits: H^n, X^n, an
 /// (n-1)-controlled Z, X^n, H^n.
 std::int64_t DiffusionCost(int num_qubits);
+
+/// What a run of verified Grover attempts (GroverSimulation::RunAttempts)
+/// ended with.
+struct VerifiedAttempts {
+  /// Whether some measurement passed verification.
+  bool found = false;
+  /// The verified measurement (only meaningful when found).
+  std::uint64_t sample = 0;
+  /// Grover iterations of the verified attempt (0 when none was verified).
+  int iterations = 0;
+  /// Attempts used.
+  int attempts = 0;
+  /// Oracle invocations across all attempts (iterations summed).
+  std::int64_t oracle_calls = 0;
+};
 
 /// Exact amplitude-level simulation of Grover's search over the n-qubit
 /// vertex register. The oracle enters as a phase flip on the precomputed
@@ -60,6 +76,18 @@ class GroverSimulation {
 
   /// Measures once (collapse simulated classically).
   std::uint64_t Measure(Rng& rng) const { return simulator_.SampleOne(rng); }
+  /// The measure-and-verify loop of qTKP (Algorithm 2) and the searches
+  /// built like it: up to `budget` attempts, each a Reset, `next_iterations()`
+  /// Grover iterations and one measurement, stopping at the first measurement
+  /// `verify` accepts (the "run c times" error reduction of Section V-A).
+  /// `next_iterations` runs before each attempt's measurement, so a schedule
+  /// that draws its iteration count from `rng` keeps its draws interleaved
+  /// with the measurements. Afterwards the simulation holds the last
+  /// attempt's state, so SuccessProbability() is that attempt's.
+  VerifiedAttempts RunAttempts(
+      Rng& rng, int budget, const std::function<int()>& next_iterations,
+      const std::function<bool(std::uint64_t)>& verify);
+
   /// Draws `shots` measurement outcomes; returns counts per basis state.
   std::vector<int> Sample(Rng& rng, int shots) const {
     return simulator_.Sample(rng, shots);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <functional>
 
 #include "common/rng.h"
 #include "graph/kplex.h"
@@ -13,6 +14,14 @@
 
 namespace qplex {
 namespace {
+
+/// The classical check of a measured subset: a k-plex with at least
+/// `threshold` vertices. The predicate backend marks exactly these subsets.
+bool IsPlexOfSize(const std::vector<std::uint64_t>& adjacency, int k,
+                  int threshold, std::uint64_t mask) {
+  return __builtin_popcountll(mask) >= threshold &&
+         IsKPlexMask(adjacency, mask, k);
+}
 
 /// Computes the marked set (all k-plexes of size >= T) with the requested
 /// backend, together with the per-call oracle cost model.
@@ -42,8 +51,7 @@ Result<OracleEvaluation> EvaluateOracle(const Graph& graph, int k,
     case OracleBackend::kPredicate: {
       const auto adjacency = AdjacencyMasks(graph);
       for (std::uint64_t mask = 0; mask < space; ++mask) {
-        if (__builtin_popcountll(mask) >= threshold &&
-            IsKPlexMask(adjacency, mask, k)) {
+        if (IsPlexOfSize(adjacency, k, threshold, mask)) {
           eval.marked.push_back(mask);
         }
       }
@@ -107,6 +115,7 @@ Result<QtkpResult> RunQtkp(const Graph& graph, int k, int threshold,
   GroverSimulation grover(n, eval.marked, options.threads);
   const std::int64_t iteration_cost = eval.oracle_cost + DiffusionCost(n);
 
+  std::function<int()> next_iterations;
   if (options.use_bbht) {
     // Boyer–Brassard–Høyer–Tapp: for unknown M, draw the iteration count
     // uniformly from a geometrically growing window. Expected oracle calls
@@ -117,72 +126,58 @@ Result<QtkpResult> RunQtkp(const Graph& graph, int k, int threshold,
     // accounting raises the per-attempt failure probability to it, and a
     // zero budget would claim certain failure (x^0 = 1) for every probe.
     result.attempt_budget = options.max_attempts * 8;
-    for (int attempt = 0; attempt < result.attempt_budget; ++attempt) {
+    next_iterations = [&rng, window, max_window]() mutable {
       const int iterations = static_cast<int>(
           rng.UniformInt(static_cast<std::uint64_t>(std::ceil(window))));
-      grover.Reset();
-      grover.Run(iterations);
-      ++result.attempts;
-      result.oracle_calls += iterations;
-      result.gate_cost += n + iterations * iteration_cost;
-      // Exact failure probability of this attempt's random rotation; the
-      // last value stands in as the per-attempt error of the whole search
-      // (mirrors the known-M path, where it is constant across attempts).
-      result.error_probability = 1.0 - grover.SuccessProbability();
-      const std::uint64_t sample = grover.Measure(rng);
-      if (__builtin_popcountll(sample) >= threshold &&
-          IsKPlexMask(adjacency, sample, k)) {
-        result.found = true;
-        result.mask = sample;
-        result.plex = MaskToBitset(n, sample).ToList();
-        result.iterations = iterations;
-        return result;
-      }
       window = std::min(window * 1.2, max_window);
+      return iterations;
+    };
+  } else {
+    // Known-M schedule (quantum counting gives M; in simulation it is exact).
+    result.iterations = OptimalGroverIterations(n, result.num_solutions);
+    // Retry budget: enough verified attempts to push the residual failure
+    // probability below target_error (the paper's "run c times" argument).
+    result.attempt_budget = options.max_attempts;
+    if (result.num_solutions > 0) {
+      const double single_error = 1.0 - TheoreticalSuccessProbability(
+                                            n, result.num_solutions,
+                                            result.iterations);
+      if (single_error > 0 && options.target_error > 0) {
+        const int needed = static_cast<int>(std::ceil(
+            std::log(options.target_error) / std::log(single_error)));
+        // At least max_attempts, and capped at 64 — unless the caller asked
+        // for more than 64, which raises the cap (std::clamp requires
+        // lo <= hi, so clamping to a fixed 64 is UB for max_attempts > 64).
+        result.attempt_budget =
+            std::clamp(needed, options.max_attempts,
+                       std::max(options.max_attempts, 64));
+      }
     }
-    return result;  // found == false
+    next_iterations = [&result] { return result.iterations; };
   }
 
-  // Known-M schedule (quantum counting gives M; in simulation it is exact).
-  result.iterations = OptimalGroverIterations(n, result.num_solutions);
-  // Retry budget: enough verified attempts to push the residual failure
-  // probability below target_error (the paper's "run c times" argument).
-  int attempt_budget = options.max_attempts;
-  if (result.num_solutions > 0) {
-    const double single_error = 1.0 - TheoreticalSuccessProbability(
-                                          n, result.num_solutions,
-                                          result.iterations);
-    if (single_error > 0 && options.target_error > 0) {
-      const int needed = static_cast<int>(std::ceil(
-          std::log(options.target_error) / std::log(single_error)));
-      // At least max_attempts, and capped at 64 — unless the caller asked
-      // for more than 64, which raises the cap (std::clamp requires
-      // lo <= hi, so clamping to a fixed 64 is UB for max_attempts > 64).
-      attempt_budget =
-          std::clamp(needed, options.max_attempts,
-                     std::max(options.max_attempts, 64));
-    }
+  const VerifiedAttempts run = grover.RunAttempts(
+      rng, result.attempt_budget, next_iterations,
+      [&](std::uint64_t sample) {
+        return IsPlexOfSize(adjacency, k, threshold, sample);
+      });
+  result.attempts = run.attempts;
+  result.oracle_calls = run.oracle_calls;
+  result.gate_cost =
+      std::int64_t{n} * run.attempts + run.oracle_calls * iteration_cost;
+  // Exact failure probability of the last attempt. On the known-M path it is
+  // the same for every attempt; under BBHT the last random rotation's value
+  // stands in as the per-attempt error of the whole search.
+  result.error_probability = 1.0 - grover.SuccessProbability();
+  if (options.use_bbht) {
+    result.iterations = run.iterations;
   }
-  result.attempt_budget = attempt_budget;
-  for (int attempt = 0; attempt < attempt_budget; ++attempt) {
-    grover.Reset();
-    grover.Run(result.iterations);
-    ++result.attempts;
-    result.oracle_calls += result.iterations;
-    result.gate_cost += n + result.iterations * iteration_cost;
-    result.error_probability = 1.0 - grover.SuccessProbability();
-    const std::uint64_t sample = grover.Measure(rng);
-    // Classical verification of the measured subset (cheap) — a failed
-    // verification triggers a re-run.
-    if (__builtin_popcountll(sample) >= threshold &&
-        IsKPlexMask(adjacency, sample, k)) {
-      result.found = true;
-      result.mask = sample;
-      result.plex = MaskToBitset(n, sample).ToList();
-      return result;
-    }
+  if (run.found) {
+    result.found = true;
+    result.mask = run.sample;
+    result.plex = MaskToBitset(n, run.sample).ToList();
   }
-  return result;  // found == false (either M == 0 or all attempts failed)
+  return result;  // found == false: M == 0 or every attempt failed
 }
 
 }  // namespace qplex

@@ -9,7 +9,6 @@
 #include "graph/kplex.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "quantum/basis_sim.h"
 
 namespace qplex {
 
@@ -24,27 +23,16 @@ bool MkpPredicate(const Graph& graph, int k, int threshold,
 Result<MkpOracle> MkpOracle::Build(const Graph& graph, int k, int threshold,
                                    const MkpOracleOptions& options) {
   const int n = graph.num_vertices();
-  if (n < 1 || n > 64) {
-    return Status::InvalidArgument("oracle requires 1 <= n <= 64");
-  }
+  QPLEX_RETURN_IF_ERROR(CheckShape(n, threshold));
   if (k < 1) {
     return Status::InvalidArgument("k must be >= 1");
   }
-  if (threshold < 0 || threshold > n) {
-    return Status::InvalidArgument("threshold outside [0, n]");
-  }
 
   obs::TraceSpan span("oracle.build");
-  MkpOracle oracle;
-  oracle.num_vertices_ = n;
-  oracle.k_ = k;
-  oracle.threshold_ = threshold;
-
+  MkpOracle oracle(n, k, threshold);
   const Graph complement = graph.Complement();
   Circuit& circuit = oracle.circuit_;
-
-  // Vertex register must occupy wires [0, n) so basis inputs map directly.
-  const QubitRange vertices = circuit.AllocateRegister("v", n);
+  const QubitRange vertices = oracle.vertices();
 
   // --- Stage A: complement-graph encoding (paper Fig. 6 box A). -------------
   circuit.BeginStage(OracleStages::kEncoding);
@@ -76,9 +64,7 @@ Result<MkpOracle> MkpOracle::Build(const Graph& graph, int k, int threshold,
         BitWidthFor(static_cast<std::uint64_t>(k - 1)));
     const QubitRange counter =
         circuit.AllocateRegister("c" + std::to_string(v), width);
-    for (int i = 0; i < width; ++i) {
-      counter_wires[v].push_back(counter[i]);
-    }
+    counter_wires[v] = counter.wires();
     switch (options.degree_count_mode) {
       case DegreeCountMode::kIncrement:
         AppendPopCount(&circuit, incident[v], counter);
@@ -92,11 +78,9 @@ Result<MkpOracle> MkpOracle::Build(const Graph& graph, int k, int threshold,
         for (int edge_wire : incident[v]) {
           std::vector<int> operand{edge_wire};
           if (width > 1) {
-            const QubitRange pad =
-                circuit.AllocateAncilla("deg.pad", width - 1);
-            for (int i = 0; i + 1 < width; ++i) {
-              operand.push_back(pad[i]);
-            }
+            const std::vector<int> pad =
+                circuit.AllocateAncilla("deg.pad", width - 1).wires();
+            operand.insert(operand.end(), pad.begin(), pad.end());
           }
           const AdderResult sum =
               AppendRippleCarryAdder(&circuit, operand, counter_wires[v]);
@@ -118,47 +102,9 @@ Result<MkpOracle> MkpOracle::Build(const Graph& graph, int k, int threshold,
   }
   // cplex flag: AND over all d_i (paper Fig. 9 box B).
   const int cplex = circuit.AllocateQubit("cplex");
-  {
-    std::vector<int> controls;
-    for (Vertex v = 0; v < n; ++v) {
-      controls.push_back(degree_ok[v]);
-    }
-    circuit.Append(MakeMCX(std::move(controls), cplex));
-  }
+  circuit.Append(MakeMCX(degree_ok.wires(), cplex));
 
-  // --- Size determination: popcount(v) >= T (paper Fig. 11 boxes A-B). ------
-  circuit.BeginStage(OracleStages::kSizeCheck);
-  const QubitRange size_reg = circuit.AllocateRegister(
-      "size",
-      std::max(BitWidthFor(static_cast<std::uint64_t>(n)),
-               BitWidthFor(static_cast<std::uint64_t>(threshold))));
-  {
-    std::vector<int> vertex_wires;
-    for (Vertex v = 0; v < n; ++v) {
-      vertex_wires.push_back(vertices[v]);
-    }
-    AppendPopCount(&circuit, vertex_wires, size_reg);
-  }
-  const int size_ok = circuit.AllocateQubit("size_ok");
-  {
-    std::vector<int> size_wires;
-    for (int i = 0; i < size_reg.width; ++i) {
-      size_wires.push_back(size_reg[i]);
-    }
-    AppendGreaterEqualConst(&circuit, size_wires,
-                            static_cast<std::uint64_t>(threshold), size_ok);
-  }
-
-  const int compute_end = circuit.num_gates();
-
-  // --- Oracle flip (paper Fig. 11 box C): O ^= cplex AND size_ok. -----------
-  circuit.BeginStage(OracleStages::kOracleFlip);
-  oracle.oracle_wire_ = circuit.AllocateQubit("O");
-  circuit.Append(MakeCCX(cplex, size_ok, oracle.oracle_wire_));
-
-  // --- U_check^dagger: restore every ancilla (paper Fig. 12). ---------------
-  circuit.BeginStage(OracleStages::kUncompute);
-  circuit.AppendInverseOfRange(0, compute_end);
+  oracle.AppendThresholdTail(cplex);
 
   auto& registry = obs::MetricsRegistry::Global();
   registry.GetCounter("oracle.builds").Increment();
@@ -176,20 +122,6 @@ Result<MkpOracle> MkpOracle::Build(const Graph& graph, int k, int threshold,
       .Record(static_cast<double>(report.ComputeTotal()));
 
   return oracle;
-}
-
-bool MkpOracle::Evaluate(std::uint64_t vertex_mask) const {
-  return EvaluateOracleCircuit(circuit_, num_vertices_, oracle_wire_,
-                               vertex_mask);
-}
-
-Result<bool> MkpOracle::EvaluateChecked(std::uint64_t vertex_mask) const {
-  return EvaluateOracleCircuitChecked(circuit_, num_vertices_, oracle_wire_,
-                                      vertex_mask);
-}
-
-std::vector<std::uint64_t> MkpOracle::MarkedStates() const {
-  return OracleCircuitMarkedStates(circuit_, num_vertices_, oracle_wire_);
 }
 
 OracleCostReport MkpOracle::CostReport() const {

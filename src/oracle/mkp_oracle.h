@@ -8,20 +8,9 @@
 
 #include "common/status.h"
 #include "graph/graph.h"
-#include "quantum/circuit.h"
+#include "oracle/threshold_oracle.h"
 
 namespace qplex {
-
-/// Names of the oracle's cost-accounted stages, in circuit order. The paper's
-/// Table V reports the runtime share of the middle three.
-struct OracleStages {
-  static constexpr const char* kEncoding = "encoding";
-  static constexpr const char* kDegreeCount = "degree_count";
-  static constexpr const char* kDegreeCompare = "degree_compare";
-  static constexpr const char* kSizeCheck = "size_check";
-  static constexpr const char* kOracleFlip = "oracle_flip";
-  static constexpr const char* kUncompute = "uncompute";
-};
 
 /// Per-stage gate/cost statistics of a built oracle.
 struct OracleCostReport {
@@ -64,12 +53,14 @@ struct MkpOracleOptions {
 ///                +--[size check: popcount(v) >= T; O ^= cplex AND size_ok]--
 ///                +--[U_check^dagger uncompute]--
 ///
-/// All gates are classical-reversible (X with controls), so the circuit can
-/// be evaluated exactly on computational-basis states however many ancillas
-/// it uses — bit-sliced, 64 basis states per word operation (see
-/// quantum/basis_sim.h). This is the trick that lets qplex execute the
-/// literal paper construction, whose width is O(n^2 log n) qubits.
-class MkpOracle {
+/// The first three stages are the feasibility check built here; the size
+/// check, flip and uncompute are the ThresholdOracle tail. All gates are
+/// classical-reversible (X with controls), so the circuit can be evaluated
+/// exactly on computational-basis states however many ancillas it uses —
+/// bit-sliced, 64 basis states per word operation (see quantum/basis_sim.h).
+/// This is the trick that lets qplex execute the literal paper construction,
+/// whose width is O(n^2 log n) qubits.
+class MkpOracle : public ThresholdOracle {
  public:
   /// Builds the oracle for `graph`, plex parameter `k` (>= 1) and size
   /// threshold `threshold` in [0, n]. Requires n <= 64 (mask-indexed search
@@ -77,46 +68,17 @@ class MkpOracle {
   static Result<MkpOracle> Build(const Graph& graph, int k, int threshold,
                                  const MkpOracleOptions& options = {});
 
-  int num_vertices() const { return num_vertices_; }
   int k() const { return k_; }
-  int threshold() const { return threshold_; }
-
-  /// The full oracle circuit: U_check, oracle flip, U_check^dagger.
-  const Circuit& circuit() const { return circuit_; }
-
-  /// Total width (vertex + ancilla qubits) — the paper's O(n^2 log n) space.
-  int num_qubits() const { return circuit_.num_qubits(); }
-
-  /// Evaluates the oracle on a vertex subset by executing the literal gate
-  /// list on one lane of the bit-sliced evaluator; returns the oracle bit.
-  /// Cost: one compile pass over the circuit, then one word op per gate up to
-  /// the oracle flip (U_check^dagger cannot change the verdict and is skipped).
-  bool Evaluate(std::uint64_t vertex_mask) const;
-
-  /// Like Evaluate, but also verifies that every ancilla wire is restored to
-  /// |0> and the vertex register is unchanged (the uncompute contract).
-  /// Returns InternalError if the contract is violated.
-  Result<bool> EvaluateChecked(std::uint64_t vertex_mask) const;
-
-  /// All marked subsets in increasing order, by exhaustive bit-sliced
-  /// evaluation over the 2^n masks (64 per word op).
-  std::vector<std::uint64_t> MarkedStates() const;
 
   /// Per-stage cost report (Gate::Cost sums — a hardware-time proxy where a
   /// C^kNOT costs k+1).
   OracleCostReport CostReport() const;
 
-  /// Wire index of the oracle output qubit (for tests).
-  int oracle_wire() const { return oracle_wire_; }
-
  private:
-  MkpOracle() = default;
+  MkpOracle(int num_vertices, int k, int threshold)
+      : ThresholdOracle(num_vertices, threshold), k_(k) {}
 
-  int num_vertices_ = 0;
   int k_ = 0;
-  int threshold_ = 0;
-  Circuit circuit_;
-  int oracle_wire_ = 0;
 };
 
 /// The semantic reference the circuit must agree with: subset `mask` is a

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,12 @@ struct QubitRange {
     return start + i;
   }
   int end() const { return start + width; }
+  /// The wire indices start, start + 1, ..., end() - 1.
+  std::vector<int> wires() const {
+    std::vector<int> out(static_cast<std::size_t>(width));
+    std::iota(out.begin(), out.end(), start);
+    return out;
+  }
 };
 
 /// A gate list over named qubit registers. Circuits are built once by the

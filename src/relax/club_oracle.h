@@ -6,7 +6,7 @@
 
 #include "common/status.h"
 #include "graph/graph.h"
-#include "quantum/circuit.h"
+#include "oracle/threshold_oracle.h"
 
 namespace qplex {
 
@@ -18,36 +18,16 @@ namespace qplex {
 /// Per non-adjacent pair (u, v) the circuit computes
 ///   no_witness_uv = AND over common neighbours w of NOT x_w
 ///   violation_uv  = x_u AND x_v AND no_witness_uv
-/// and the club flag is the AND of all negated violations; the size stage is
-/// shared with the k-plex oracle (popcount + comparator). All gates are
-/// classical reversible, so the same bit-sliced evaluator executes it.
-class Club2Oracle {
+/// and the club flag is the AND of all negated violations. That pair check is
+/// the only stage built here: the size check, flip and uncompute are the
+/// ThresholdOracle tail the k-plex oracle uses too. All gates are classical
+/// reversible, so the same bit-sliced evaluator executes it.
+class Club2Oracle : public ThresholdOracle {
  public:
   static Result<Club2Oracle> Build(const Graph& graph, int threshold);
 
-  int num_vertices() const { return num_vertices_; }
-  int threshold() const { return threshold_; }
-  const Circuit& circuit() const { return circuit_; }
-  int num_qubits() const { return circuit_.num_qubits(); }
-  int oracle_wire() const { return oracle_wire_; }
-
-  /// Executes the literal circuit on one subset (one bit-sliced lane).
-  bool Evaluate(std::uint64_t vertex_mask) const;
-
-  /// Evaluate + verify the uncompute contract.
-  Result<bool> EvaluateChecked(std::uint64_t vertex_mask) const;
-
-  /// All marked subsets in increasing order (exhaustive, bit-sliced; n <=
-  /// 30).
-  std::vector<std::uint64_t> MarkedStates() const;
-
  private:
-  Club2Oracle() = default;
-
-  int num_vertices_ = 0;
-  int threshold_ = 0;
-  Circuit circuit_;
-  int oracle_wire_ = 0;
+  using ThresholdOracle::ThresholdOracle;
 };
 
 /// Result of the Grover-based maximum 2-club search.

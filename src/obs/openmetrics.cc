@@ -5,6 +5,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "common/parse.h"
+
 namespace qplex::obs {
 namespace {
 
@@ -288,12 +290,12 @@ Status CheckOpenMetrics(std::string_view text) {
         }
         double boundary = std::numeric_limits<double>::infinity();
         if (*le != "+Inf") {
-          try {
-            boundary = std::stod(*le);
-          } catch (const std::exception&) {
+          const Result<double> parsed = ParseNumber<double>("le", *le);
+          if (!parsed.ok()) {
             return Status::InvalidArgument("unparseable le boundary '" + *le +
                                            "' in " + family);
           }
+          boundary = parsed.value();
         }
         if (boundary <= check.last_le) {
           return Status::InvalidArgument(

@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <iostream>
 
+#include "common/parse.h"
 #include "obs/metrics.h"
 
 namespace qplex::resilience {
@@ -29,38 +30,34 @@ double HashToUnitDouble(std::uint64_t seed, std::uint64_t call) {
 Result<FaultRule> ParseRule(std::string_view rate, std::string_view seed_text,
                             std::string_view clause) {
   FaultRule rule;
-  const std::string rate_str(rate);
-  const bool is_probability = rate.find('.') != std::string_view::npos ||
-                              rate.find('e') != std::string_view::npos ||
-                              rate.find('E') != std::string_view::npos;
-  try {
-    std::size_t consumed = 0;
-    if (is_probability) {
-      rule.probability = std::stod(rate_str, &consumed);
-      if (consumed != rate_str.size() || rule.probability <= 0 ||
-          rule.probability > 1) {
-        return Status::InvalidArgument(
-            "fault-spec probability must be in (0, 1]: " + std::string(clause));
-      }
-    } else {
-      rule.every_n = std::stoll(rate_str, &consumed);
-      if (consumed != rate_str.size() || rule.every_n <= 0) {
-        return Status::InvalidArgument(
-            "fault-spec every-N must be a positive integer: " +
-            std::string(clause));
-      }
+  if (rate.find_first_of(".eE") != std::string_view::npos) {
+    const Result<double> probability =
+        ParseNumber<double>("fault-spec probability", rate);
+    if (!probability.ok() || probability.value() <= 0 ||
+        probability.value() > 1) {
+      return Status::InvalidArgument(
+          "fault-spec probability must be in (0, 1]: " + std::string(clause));
     }
-    if (!seed_text.empty()) {
-      const std::string seed_str(seed_text);
-      rule.seed = std::stoull(seed_str, &consumed);
-      if (consumed != seed_str.size()) {
-        return Status::InvalidArgument("fault-spec seed must be an integer: " +
-                                       std::string(clause));
-      }
+    rule.probability = probability.value();
+  } else {
+    const Result<std::int64_t> every_n =
+        ParseNumber<std::int64_t>("fault-spec every-N", rate);
+    if (!every_n.ok() || every_n.value() <= 0) {
+      return Status::InvalidArgument(
+          "fault-spec every-N must be a positive integer: " +
+          std::string(clause));
     }
-  } catch (const std::exception&) {
-    return Status::InvalidArgument("malformed fault-spec clause: " +
-                                   std::string(clause));
+    rule.every_n = every_n.value();
+  }
+  if (!seed_text.empty()) {
+    const Result<std::uint64_t> seed =
+        ParseNumber<std::uint64_t>("fault-spec seed", seed_text);
+    if (!seed.ok()) {
+      return Status::InvalidArgument(
+          "fault-spec seed must be a non-negative integer: " +
+          std::string(clause));
+    }
+    rule.seed = seed.value();
   }
   return rule;
 }

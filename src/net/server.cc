@@ -167,8 +167,12 @@ void Server::AcceptReady() {
 }
 
 bool Server::ReadReady(std::uint64_t conn_id, Connection& conn) {
+  // Per-connection, per-Poll read budget: at most this many bytes are
+  // drained from one connection per iteration so a firehose client cannot
+  // starve its neighbours (fairness, not a hard protocol limit).
+  constexpr std::size_t kReadBudgetBytes = 64 * 1024;
   char buffer[16 * 1024];
-  std::size_t budget = options_.read_budget_bytes;
+  std::size_t budget = kReadBudgetBytes;
   bool peer_closed = false;
   Status frame_status = Status::Ok();
   while (budget > 0) {

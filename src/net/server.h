@@ -38,10 +38,6 @@ struct ServerOptions {
   int idle_timeout_ms = 0;
   /// Oversize-line rejection threshold for the frame splitter.
   std::size_t max_line_bytes = FrameSplitter::kDefaultMaxLineBytes;
-  /// Per-connection, per-Poll read budget: at most this many bytes are
-  /// drained from one connection per iteration so a firehose client cannot
-  /// starve its neighbours (fairness, not a hard protocol limit).
-  std::size_t read_budget_bytes = 64 * 1024;
   /// Slow-reader bound: a connection whose un-flushed response backlog
   /// exceeds this is dropped (it is not reading its responses).
   std::size_t max_write_buffer_bytes = 8u << 20;

@@ -53,7 +53,8 @@ JobScheduler::JobScheduler(const SolverRegistry* registry,
   options_.num_workers = std::max(1, options_.num_workers);
   options_.queue_capacity = std::max<std::size_t>(1, options_.queue_capacity);
   if (options_.enable_cache) {
-    cache_ = std::make_unique<InstanceCache>(options_.cache_capacity);
+    constexpr std::size_t kCacheCapacity = 256;
+    cache_ = std::make_unique<InstanceCache>(kCacheCapacity);
   }
   if (options_.enable_breakers && options_.breaker.failure_threshold > 0) {
     breakers_ = std::make_unique<resilience::BreakerBoard>(options_.breaker);
@@ -403,7 +404,7 @@ void JobScheduler::Execute(const SubTask& task, int worker) {
 
     if (resilience::ClassifyFailure(response.status.code()) ==
             resilience::FailureClass::kTransient &&
-        ConsumeRetryBudget(response.status, job)) {
+        ConsumeRetryBudget(job)) {
       ScheduleRetry(task, worker, response.status);
       return;  // the slot completes on a later attempt
     }
@@ -741,7 +742,7 @@ SolveResponse JobScheduler::RunFallbackChain(Job& job,
   return response;
 }
 
-bool JobScheduler::ConsumeRetryBudget(const Status& status, Job& job) {
+bool JobScheduler::ConsumeRetryBudget(Job& job) {
   auto& registry = obs::MetricsRegistry::Global();
   if (StopRequested(job.deadline, &job.cancel)) {
     return false;  // no budget left to retry into
@@ -750,7 +751,6 @@ bool JobScheduler::ConsumeRetryBudget(const Status& status, Job& job) {
     registry.GetCounter("svc.retries.exhausted").Increment();
     return false;
   }
-  (void)status;
   return true;
 }
 
@@ -764,10 +764,11 @@ void JobScheduler::ScheduleRetry(const SubTask& task, int worker,
   // deterministic backoff sequence up to this attempt. Recording the
   // *computed* delay (not a measured sleep) keeps the histogram exactly
   // reproducible for the bench gate.
+  constexpr std::uint64_t kBackoffSeed = 0x7e57ab1e;
   resilience::BackoffOptions backoff_options;
   backoff_options.base_ms = options_.retry.backoff_base_ms;
   backoff_options.cap_ms = options_.retry.backoff_cap_ms;
-  backoff_options.seed = options_.retry.backoff_seed ^
+  backoff_options.seed = kBackoffSeed ^
                          (static_cast<std::uint64_t>(job.id) *
                           0x9e3779b97f4a7c15ULL) ^
                          static_cast<std::uint64_t>(task.slot);

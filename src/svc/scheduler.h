@@ -34,11 +34,10 @@ struct RetryOptions {
   /// racers. 0 disables retries.
   int max_retries = 2;
   /// Decorrelated-jitter backoff between attempts. The delay sequence is a
-  /// pure function of (backoff_seed, job id, slot, attempt), so retry
-  /// schedules are deterministic and safe to assert on.
+  /// pure function of (job id, slot, attempt), so retry schedules are
+  /// deterministic and safe to assert on.
   double backoff_base_ms = 1.0;
   double backoff_cap_ms = 100.0;
-  std::uint64_t backoff_seed = 0x7e57ab1e;
 };
 
 /// Scheduler configuration.
@@ -53,9 +52,8 @@ struct JobSchedulerOptions {
   /// kResourceExhausted — backpressure, not unbounded buffering. Retry
   /// re-enqueues bypass the bound: an admitted job may always finish.
   std::size_t queue_capacity = 64;
-  /// Result cache toggle and size.
+  /// Result cache toggle.
   bool enable_cache = true;
-  std::size_t cache_capacity = 256;
   RetryOptions retry;
   /// Latency objective per job in milliseconds; 0 disables SLO accounting.
   /// When set, every completed job ticks svc.slo.ok or svc.slo.breaches
@@ -261,9 +259,9 @@ class JobScheduler {
   /// kResourceExhausted; fills the degradation trail in `response`.
   SolveResponse RunFallbackChain(Job& job, const std::string& backend,
                                  SolveResponse response, Status original);
-  /// True when `status` is transient, budget remains, and the job deadline
-  /// has not expired; consumes one unit of the job's retry budget.
-  bool ConsumeRetryBudget(const Status& status, Job& job);
+  /// Called for a transient failure: true when retry budget remains and the
+  /// job deadline has not expired; consumes one unit of the budget.
+  bool ConsumeRetryBudget(Job& job);
   /// Records metrics/events, sleeps the deterministic backoff delay, and
   /// re-enqueues the task for a different worker.
   void ScheduleRetry(const SubTask& task, int worker, const Status& failure);

@@ -128,6 +128,7 @@ struct JobEnd {
 struct BatchRun {
   std::map<std::string, JobEnd> jobs;
   int job_end_lines = 0;
+  int job_retry_lines = 0;
   std::int64_t batch_jobs = -1;
   std::int64_t batch_failed = -1;
 };
@@ -159,6 +160,8 @@ BatchRun ParseEvents(const std::filesystem::path& events_path) {
       job.members = event.Find("members")->AsString();
       job.cache_hit = event.Find("cache_hit")->AsBool();
       run.jobs[event.Find("label")->AsString()] = job;
+    } else if (name->AsString() == "job_retry") {
+      ++run.job_retry_lines;
     } else if (name->AsString() == "batch_end") {
       run.batch_jobs = event.Find("jobs")->AsInt();
       run.batch_failed = event.Find("failed")->AsInt();
@@ -450,6 +453,35 @@ TEST(ServeChaosTest, FaultInjectedBatchIsTerminalAndDeterministic) {
   }
   EXPECT_EQ(std::count(journal_a.begin(), journal_a.end(), '\n'), 22);
   EXPECT_EQ(journal_a, journal_b);  // deterministic chaos
+}
+
+TEST(ServeChaosTest, RetriesAbsorbEveryOtherExecutionThrowing) {
+  // Every 2nd backend execution throws mid-solve. The retry budget must
+  // absorb every fault: all four jobs end OK, and at least one retry shows
+  // the fault spec fired.
+  const std::filesystem::path jobs = ScratchDir() / "throw_batch.jsonl";
+  {
+    const std::string block = kTwoBlockGraph;
+    std::ofstream out(jobs);
+    out << R"({"id":"c1","k":2,"backend":"bs","graph":)" << block << "}\n"
+        << R"({"id":"c2","k":2,"backend":"enum","graph":)" << block << "}\n"
+        << R"({"id":"c3","k":2,"backend":"grasp","seed":3,"graph":)" << block
+        << "}\n"
+        << R"({"id":"c4","k":2,"backend":"sa","seed":5,"graph":)"
+        << kChordedCycleGraph << "}\n";
+  }
+  const std::filesystem::path events = ScratchDir() / "events_throw.jsonl";
+  ASSERT_EQ(RunServe("--jobs " + jobs.string() +
+                     " --workers 1 --fault-spec solver_throw:2:3 --events " +
+                     events.string()),
+            0);
+  const BatchRun run = ParseEvents(events);
+  EXPECT_EQ(run.job_end_lines, 4);
+  ASSERT_EQ(run.jobs.size(), 4u);
+  for (const auto& [label, job] : run.jobs) {
+    EXPECT_EQ(job.status, "OK") << label;
+  }
+  EXPECT_GE(run.job_retry_lines, 1);
 }
 
 #ifndef _WIN32

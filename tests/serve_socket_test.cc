@@ -4,7 +4,9 @@
 // errors for malformed lines on a surviving connection, oversize-line
 // rejection, the graceful SIGTERM drain (in-flight responses all arrive,
 // exit code 0), pipelined clients and a mid-stream disconnect under throw
-// chaos, periodic OpenMetrics snapshots, and the shared-path contract: a job
+// chaos, the brownout scenarios (breaker trip and recovery, overload
+// shedding with retry hints, watchdog kills onto the fallback), periodic
+// OpenMetrics snapshots, and the shared-path contract: a job
 // file and a lockstep connection journal byte-identically, through the
 // binaries and in-process through svc::FrontEnd. Binary paths are injected
 // by CMake as QPLEX_SERVE_PATH / QPLEX_CLIENT_PATH / QPLEX_OBS_PATH.
@@ -549,6 +551,211 @@ TEST(ServeSocketTest, PipelinedClientsAndADisconnectSurviveThrowChaos) {
        " >/dev/null 2>&1")
           .c_str());
   EXPECT_EQ(WIFEXITED(analyzed) ? WEXITSTATUS(analyzed) : -1, 0);
+}
+
+/// Writes `count` jobs for `backend` on the two-block graph, labelled
+/// <prefix>-0..count-1.
+std::filesystem::path WriteBackendRequests(const std::filesystem::path& dir,
+                                           const std::string& prefix,
+                                           const std::string& backend,
+                                           int count) {
+  const std::filesystem::path path = dir / "requests.jsonl";
+  std::ofstream out(path);
+  for (int i = 0; i < count; ++i) {
+    out << "{\"id\":\"" << prefix << "-" << i << "\",\"k\":2,\"backend\":\""
+        << backend << "\",\"seed\":" << i << ",\"graph\":" << kBlockGraph
+        << "}\n";
+  }
+  return path;
+}
+
+/// Events of one kind (`"event": name`) from a JSONL events file.
+std::vector<obs::JsonValue> EventsNamed(const std::filesystem::path& path,
+                                        const std::string& name) {
+  std::vector<obs::JsonValue> matching;
+  for (obs::JsonValue& event : JsonLines(path)) {
+    const obs::JsonValue* kind = event.Find("event");
+    if (kind != nullptr && kind->AsString() == name) {
+      matching.push_back(std::move(event));
+    }
+  }
+  return matching;
+}
+
+/// Validates a serve run's events and journal with qplex_obs and returns
+/// its health report; fails the test when the analyzer rejects them.
+std::string AnalyzedHealthReport(const std::filesystem::path& dir) {
+  const std::filesystem::path health = dir / "health.txt";
+  const int analyzed = std::system(
+      (std::string(QPLEX_OBS_PATH) + " --events " +
+       (dir / "events.jsonl").string() + " --journal " +
+       (dir / "journal.jsonl").string() + " --health " + health.string() +
+       " >/dev/null 2>&1")
+          .c_str());
+  EXPECT_EQ(WIFEXITED(analyzed) ? WEXITSTATUS(analyzed) : -1, 0);
+  return ReadFile(health);
+}
+
+TEST(ServeSocketTest, BreakerTripsAndRecoversUnderThrowChaos) {
+  const std::filesystem::path dir = TempDir("brownout_breaker");
+  const std::filesystem::path requests =
+      WriteBackendRequests(dir, "trip", "bs", 9);
+  const std::filesystem::path probe = dir / "probe.jsonl";
+  std::ofstream(probe) << "{\"id\":\"probe\",\"type\":\"health\"}\n";
+  // Every 3rd execution throws. A one-failure threshold opens the breaker on
+  // each throw, and a one-consult cooldown makes the very next execution the
+  // half-open probe, which lands on a clean call and closes it again.
+  ServeProcess serve(dir, "--fault-spec solver_throw:3:1 --workers 1 "
+                          "--max-retries 3 --breaker-threshold 1 "
+                          "--breaker-cooldown 1 --events " +
+                              (dir / "events.jsonl").string());
+  ASSERT_GT(serve.port(), 0) << ReadFile(dir / "serve.err");
+  const std::string port = std::to_string(serve.port());
+  RunClient("--port " + port + " --requests " + requests.string() +
+            " --mode pipeline --out " + (dir / "responses.jsonl").string());
+  ASSERT_EQ(RunClient("--port " + port + " --requests " + probe.string() +
+                      " --out " + (dir / "health_response.jsonl").string()),
+            0);
+  ASSERT_EQ(serve.Stop(), 0);
+
+  const std::vector<obs::JsonValue> responses =
+      JsonLines(dir / "responses.jsonl");
+  ASSERT_EQ(responses.size(), 9u);
+  // The retry budget absorbs the throws except in the one interleaving
+  // where a single job eats every throw.
+  EXPECT_GE(std::count_if(responses.begin(), responses.end(),
+                          [](const obs::JsonValue& r) {
+                            return r.Find("status")->AsString() == "OK";
+                          }),
+            8);
+  std::set<std::pair<std::string, std::string>> edges;
+  for (const obs::JsonValue& event :
+       EventsNamed(dir / "events.jsonl", "breaker_transition")) {
+    edges.emplace(event.Find("from")->AsString(),
+                  event.Find("to")->AsString());
+  }
+  EXPECT_TRUE(edges.count({"closed", "open"}));
+  EXPECT_TRUE(edges.count({"half_open", "closed"}));
+
+  const std::vector<obs::JsonValue> health =
+      JsonLines(dir / "health_response.jsonl");
+  ASSERT_EQ(health.size(), 1u);
+  EXPECT_EQ(health[0].Find("type")->AsString(), "health");
+  EXPECT_EQ(health[0].Find("status")->AsString(), "OK");
+  EXPECT_TRUE(health[0].Find("breakers_enabled")->AsBool());
+  const obs::JsonValue* breakers = health[0].Find("breakers");
+  ASSERT_NE(breakers, nullptr);
+  bool bs_listed = false;
+  for (std::size_t i = 0; i < breakers->size(); ++i) {
+    bs_listed |= breakers->at(i).Find("backend")->AsString() == "bs";
+  }
+  EXPECT_TRUE(bs_listed);
+
+  const std::string report = AnalyzedHealthReport(dir);
+  EXPECT_NE(report.find("closed->open"), std::string::npos) << report;
+  EXPECT_NE(report.find("half_open->closed"), std::string::npos) << report;
+}
+
+TEST(ServeSocketTest, OverloadShedsWithRetryHintsAndJournalsTheAdmitted) {
+  const std::filesystem::path dir = TempDir("brownout_shed");
+  const std::filesystem::path requests =
+      WriteBackendRequests(dir, "flood", "bs", 40);
+  // 2x overload: 40 pipelined requests flood one 25 ms/solve worker behind a
+  // 4-deep queue.
+  ServeProcess serve(dir, "--fault-spec solver_slow:1:1 --workers 1 "
+                          "--max-retries 0 --queue-cap 4 "
+                          "--shed-target-ms 25 --events " +
+                              (dir / "events.jsonl").string());
+  ASSERT_GT(serve.port(), 0) << ReadFile(dir / "serve.err");
+  RunClient("--port " + std::to_string(serve.port()) + " --requests " +
+            requests.string() + " --mode pipeline --out " +
+            (dir / "responses.jsonl").string());
+  ASSERT_EQ(serve.Stop(), 0);
+
+  const std::vector<obs::JsonValue> responses =
+      JsonLines(dir / "responses.jsonl");
+  ASSERT_EQ(responses.size(), 40u);
+  std::vector<std::string> admitted;
+  int shed = 0;
+  for (const obs::JsonValue& response : responses) {
+    const std::string& status = response.Find("status")->AsString();
+    if (status == "OK") {
+      admitted.push_back(response.Find("label")->AsString());
+      continue;
+    }
+    // Everything not admitted is shed explicitly, with a retry hint.
+    ASSERT_EQ(status, "ResourceExhausted") << response.Dump();
+    ++shed;
+    const obs::JsonValue* retry_after = response.Find("retry_after_ms");
+    ASSERT_NE(retry_after, nullptr) << response.Dump();
+    EXPECT_GT(retry_after->AsDouble(), 0) << response.Dump();
+  }
+  EXPECT_GE(shed, 10) << "too few shed under 2x overload";
+
+  // Admitted work journals exactly once; shed work never does.
+  std::vector<std::string> journaled =
+      Labels(ReadFile(dir / "journal.jsonl"));
+  std::sort(journaled.begin(), journaled.end());
+  std::sort(admitted.begin(), admitted.end());
+  EXPECT_EQ(journaled, admitted);
+  EXPECT_EQ(std::set<std::string>(journaled.begin(), journaled.end()).size(),
+            journaled.size());
+
+  const std::vector<obs::JsonValue> sheds =
+      EventsNamed(dir / "events.jsonl", "admission_shed");
+  EXPECT_EQ(static_cast<int>(sheds.size()), shed);
+  std::set<std::string> reasons;
+  for (const obs::JsonValue& event : sheds) {
+    reasons.insert(event.Find("reason")->AsString());
+  }
+  EXPECT_TRUE(reasons.count("backlog_full"));
+  for (const std::string& reason : reasons) {
+    EXPECT_TRUE(reason == "backlog_full" || reason == "queue_delay") << reason;
+  }
+
+  const std::string report = AnalyzedHealthReport(dir);
+  EXPECT_NE(report.find("backlog_full"), std::string::npos) << report;
+}
+
+TEST(ServeSocketTest, WatchdogKillsWedgedExecutionsOntoTheFallback) {
+  const std::filesystem::path dir = TempDir("brownout_watchdog");
+  const std::filesystem::path requests =
+      WriteBackendRequests(dir, "wedge", "qtkp", 4);
+  // Every 2nd execution wedges without heartbeating. On one worker the call
+  // pattern is exact: qtkp executions 2, 4 and 6 wedge and are killed, and
+  // their bs fallback hops (calls 3, 5 and 7) run clean.
+  ServeProcess serve(dir, "--fault-spec solver_stall:2:1 --workers 1 "
+                          "--max-retries 0 --watchdog-stall-ms 60 "
+                          "--watchdog-poll-ms 5 --events " +
+                              (dir / "events.jsonl").string());
+  ASSERT_GT(serve.port(), 0) << ReadFile(dir / "serve.err");
+  ASSERT_EQ(RunClient("--port " + std::to_string(serve.port()) +
+                      " --requests " + requests.string() +
+                      " --mode pipeline --out " +
+                      (dir / "responses.jsonl").string()),
+            0);
+  ASSERT_EQ(serve.Stop(), 0);
+
+  const std::vector<obs::JsonValue> responses =
+      JsonLines(dir / "responses.jsonl");
+  ASSERT_EQ(responses.size(), 4u);
+  int fell_back = 0;
+  for (const obs::JsonValue& response : responses) {
+    EXPECT_EQ(response.Find("status")->AsString(), "OK") << response.Dump();
+    fell_back += response.Find("backend")->AsString() == "bs" ? 1 : 0;
+  }
+  EXPECT_EQ(fell_back, 3);
+
+  const std::vector<obs::JsonValue> kills =
+      EventsNamed(dir / "events.jsonl", "watchdog_kill");
+  EXPECT_EQ(kills.size(), 3u);
+  for (const obs::JsonValue& kill : kills) {
+    EXPECT_EQ(kill.Find("backend")->AsString(), "qtkp");
+  }
+  EXPECT_EQ(JsonLines(dir / "journal.jsonl").size(), 4u);
+
+  const std::string report = AnalyzedHealthReport(dir);
+  EXPECT_NE(report.find("qtkp: kills=3"), std::string::npos) << report;
 }
 
 TEST(ServeSocketTest, PeriodicPromSnapshotIsWrittenBeforeSigterm) {

@@ -37,15 +37,15 @@ class SolverRegistry {
   /// Declares that jobs for `name` degrade to `fallback` when `name` fails
   /// with kResourceExhausted (e.g. a state-vector register over the memory
   /// budget). Both backends must already be registered; chains may be linked
-  /// (a→b→c) but the scheduler guards against cycles.
+  /// (a→b→c), and FallbackChain guards against cycles.
   Status SetFallback(std::string_view name, std::string_view fallback);
 
   /// The fallback registered for `name`, or nullptr when it has none.
   const std::string* Fallback(std::string_view name) const;
 
   /// The full degradation chain starting at (and excluding) `name`, in hop
-  /// order. Cycle-guarded: a linked chain that loops back onto a visited
-  /// backend is truncated at the repeat, matching the scheduler's walk.
+  /// order; the scheduler's fallback walk. Cycle-guarded: a linked chain
+  /// that loops back onto a visited backend is truncated at the repeat.
   std::vector<std::string> FallbackChain(std::string_view name) const;
 
  private:

@@ -48,7 +48,7 @@ JobScheduler::JobScheduler(const SolverRegistry* registry,
                            JobSchedulerOptions options)
     : registry_(registry),
       options_(options),
-      pool_(std::max(1, options.num_workers)) {
+      pool_(std::max(1, options.num_workers) - 1) {
   QPLEX_CHECK(registry_ != nullptr) << "scheduler needs a registry";
   options_.num_workers = std::max(1, options_.num_workers);
   options_.queue_capacity = std::max<std::size_t>(1, options_.queue_capacity);
@@ -67,8 +67,9 @@ JobScheduler::JobScheduler(const SolverRegistry* registry,
     watchdog_thread_ = std::thread([this] { WatchdogLoop(); });
   }
   // One long-lived WorkerLoop task per worker, hosted on the shared
-  // ThreadPool primitive. The dispatcher thread exists only to be the
-  // batch's blocking caller; it participates in the batch like any worker.
+  // ThreadPool primitive. The dispatcher thread is the batch's blocking
+  // caller and runs one of the loops itself, so the pool holds one thread
+  // fewer than there are workers (none for a single worker: Run inlines).
   dispatcher_ = std::thread([this] {
     pool_.Run(options_.num_workers,
               [this](int worker) { WorkerLoop(worker); });
@@ -153,71 +154,48 @@ Result<JobId> JobScheduler::Enqueue(SolveRequest request,
 }
 
 SolveResponse JobScheduler::Wait(JobId id) {
+  SolveResponse response;
+  TakeResponse(id, /*block=*/true, &response);
+  return response;
+}
+
+bool JobScheduler::TryWait(JobId id, SolveResponse* response) {
+  return TakeResponse(id, /*block=*/false, response);
+}
+
+bool JobScheduler::TakeResponse(JobId id, bool block,
+                                SolveResponse* response) {
   std::shared_ptr<Job> job;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = jobs_.find(id);
-    if (it == jobs_.end()) {
-      SolveResponse response;
-      response.status = Status::InvalidArgument(
-          "unknown or already-consumed job id " + std::to_string(id));
-      return response;
+    if (const auto it = jobs_.find(id); it != jobs_.end()) {
+      job = it->second;
     }
-    job = it->second;
   }
-  SolveResponse merged;
-  {
+  bool taken = false;
+  if (job != nullptr) {
     // The job stays in jobs_ until the wait completes so that Cancel() keeps
     // working on a job that is being waited on — qplex_serve's signal
     // handler cancels in-flight jobs exactly while the batch loop blocks
     // here.
     std::unique_lock<std::mutex> lock(job->mutex);
-    if (job->consumed) {
-      SolveResponse response;
-      response.status = Status::InvalidArgument(
-          "unknown or already-consumed job id " + std::to_string(id));
-      return response;
-    }
-    job->consumed = true;
-    job->done_cv.wait(lock, [&] { return job->done; });
-    merged = std::move(job->merged);
-  }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    jobs_.erase(id);
-  }
-  return merged;
-}
-
-bool JobScheduler::TryWait(JobId id, SolveResponse* response) {
-  std::shared_ptr<Job> job;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = jobs_.find(id);
-    if (it == jobs_.end()) {
-      response->status = Status::InvalidArgument(
-          "unknown or already-consumed job id " + std::to_string(id));
-      return true;
-    }
-    job = it->second;
-  }
-  {
-    std::lock_guard<std::mutex> lock(job->mutex);
-    if (!job->done) {
+    if (!block && !job->done) {
       return false;
     }
-    if (job->consumed) {
-      response->status = Status::InvalidArgument(
-          "unknown or already-consumed job id " + std::to_string(id));
-      return true;
+    if (!job->consumed) {
+      job->consumed = true;
+      job->done_cv.wait(lock, [&] { return job->done; });
+      *response = std::move(job->merged);
+      taken = true;
     }
-    job->consumed = true;
-    *response = std::move(job->merged);
   }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    jobs_.erase(id);
+  if (!taken) {
+    response->status = Status::InvalidArgument(
+        "unknown or already-consumed job id " + std::to_string(id));
+    return true;
   }
+  std::lock_guard<std::mutex> lock(mutex_);
+  jobs_.erase(id);
   return true;
 }
 
@@ -517,52 +495,74 @@ SolveResponse JobScheduler::RunBackend(Job& job, const std::string& backend,
     }
   }
 
-  if (StopRequested(job.deadline, &job.cancel)) {
-    response.status = Status::DeadlineExceeded(
-        "job budget exhausted before backend " + backend + " started");
-    registry.GetCounter("svc.deadline_hits").Increment();
+  Status failure = RunHop(job, backend, attempt, /*fallback=*/false,
+                          &response);
+  if (failure.ok()) {
+    if (cache_ != nullptr && response.status.ok()) {
+      // Only completed OK answers are worth replaying; truncated incumbents
+      // would poison later, better-budgeted requests.
+      cache_->Insert(key, response);
+    }
     return response;
   }
+  if (resilience::ClassifyFailure(failure.code()) ==
+      resilience::FailureClass::kDegradable) {
+    return RunFallbackChain(job, backend, std::move(response),
+                            std::move(failure));
+  }
+  response.status = std::move(failure);
+  return response;
+}
 
+Status JobScheduler::RunHop(Job& job, const std::string& backend, int attempt,
+                            bool fallback, SolveResponse* response) {
+  auto& registry = obs::MetricsRegistry::Global();
+  if (StopRequested(job.deadline, &job.cancel)) {
+    registry.GetCounter("svc.deadline_hits").Increment();
+    return Status::DeadlineExceeded("job budget exhausted before " +
+                                    std::string(fallback ? "fallback "
+                                                         : "backend ") +
+                                    backend + " started");
+  }
   Stopwatch watch;
   Execution execution;
   {
+    // Hops hang off the innermost span (the attempt's svc.job), so
+    // degraded executions stay inside the job's trace.
+    std::optional<obs::TraceSpan> hop_span;
+    if (fallback) {
+      hop_span.emplace(obs::kRequestOnly, "fallback", backend);
+    }
     obs::TraceSpan solve_span(obs::kRequestOnly, "solve");
     execution = ExecuteGuarded(job, backend, attempt);
   }
-  Result<SolveOutcome>& outcome = execution.outcome;
-  response.metrics.wall_seconds = watch.ElapsedSeconds();
-  registry.GetHistogram("svc.job_wall_seconds")
-      .Record(response.metrics.wall_seconds);
+  const double wall_seconds = watch.ElapsedSeconds();
+  response->metrics.wall_seconds += wall_seconds;
+  if (fallback) {
+    registry.GetHistogram("svc.phase.fallback_wall_ms")
+        .Record(wall_seconds * 1e3);
+  } else {
+    registry.GetHistogram("svc.job_wall_seconds").Record(wall_seconds);
+  }
 
-  if (!outcome.ok()) {
+  if (!execution.outcome.ok()) {
     if (!execution.short_circuited) {
       // A breaker short-circuit never ran the backend, so it is not a
       // backend failure — the breaker's own counters account for it.
       registry.GetCounter("svc.backend." + backend + ".failures").Increment();
     }
-    if (resilience::ClassifyFailure(outcome.status().code()) ==
-        resilience::FailureClass::kDegradable) {
-      return RunFallbackChain(job, backend, std::move(response),
-                              outcome.status());
-    }
-    response.status = outcome.status();
-    return response;
+    return execution.outcome.status();
   }
-  SolveOutcome& result = outcome.value();
-  response.solution = std::move(result.solution);
-  response.provably_optimal = result.provably_optimal;
+  SolveOutcome& result = execution.outcome.value();
+  response->solution = std::move(result.solution);
+  response->provably_optimal = result.provably_optimal;
   if (!result.completed) {
-    response.status = Status::DeadlineExceeded(
+    response->status = Status::DeadlineExceeded(
         "backend " + backend +
         " stopped early (deadline or cancellation); incumbent attached");
     registry.GetCounter("svc.deadline_hits").Increment();
-  } else if (cache_ != nullptr) {
-    // Only completed OK answers are worth replaying; truncated incumbents
-    // would poison later, better-budgeted requests.
-    cache_->Insert(key, response);
   }
-  return response;
+  return Status::Ok();
 }
 
 JobScheduler::Execution JobScheduler::ExecuteGuarded(Job& job,
@@ -589,8 +589,8 @@ JobScheduler::Execution JobScheduler::ExecuteGuarded(Job& job,
   const std::uint64_t watch_id =
       RegisterWatch(job, backend, attempt, &attempt_cancel);
   execution.outcome = GuardedSolve(job, backend, attempt_cancel);
-  execution.watchdog_killed = UnregisterWatch(watch_id);
-  if (execution.watchdog_killed) {
+  const bool watchdog_killed = UnregisterWatch(watch_id);
+  if (watchdog_killed) {
     // Degradable by design: kResourceExhausted sends the caller down the
     // fallback chain. The message carries only the configured budget, so
     // journal bytes stay deterministic.
@@ -601,7 +601,7 @@ JobScheduler::Execution JobScheduler::ExecuteGuarded(Job& job,
         " ms stall budget");
   }
   if (breaker != nullptr) {
-    if (execution.watchdog_killed) {
+    if (watchdog_killed) {
       // A wedge is a backend-health failure even though its status code
       // (kResourceExhausted) would not normally count.
       breaker->RecordFailure();
@@ -661,20 +661,10 @@ Result<SolveOutcome> JobScheduler::GuardedSolve(Job& job,
 SolveResponse JobScheduler::RunFallbackChain(Job& job,
                                              const std::string& backend,
                                              SolveResponse response,
-                                             Status original) {
+                                             Status failure) {
   auto& registry = obs::MetricsRegistry::Global();
-  const std::string reason = original.ToString();
-  std::vector<std::string> visited{backend};
-  std::string current = backend;
-  Status last = std::move(original);
-  while (true) {
-    const std::string* next = registry_->Fallback(current);
-    if (next == nullptr ||
-        std::find(visited.begin(), visited.end(), *next) != visited.end()) {
-      break;  // end of chain (or a configuration cycle): surface the failure
-    }
-    current = *next;
-    visited.push_back(current);
+  const std::string reason = failure.ToString();
+  for (const std::string& hop : registry_->FallbackChain(backend)) {
     registry.GetCounter("svc.fallbacks.taken").Increment();
     if (obs::EventsEnabled()) {
       registry.GetCounter("svc.events.payloads_built").Increment();
@@ -683,62 +673,27 @@ SolveResponse JobScheduler::RunFallbackChain(Job& job,
                                     job.request.label, job.id))},
                       {"job", static_cast<std::int64_t>(job.id)},
                       {"from", backend},
-                      {"to", current},
+                      {"to", hop},
                       {"reason", reason}});
     }
-    if (StopRequested(job.deadline, &job.cancel)) {
-      last = Status::DeadlineExceeded(
-          "job budget exhausted before fallback " + current + " started");
-      registry.GetCounter("svc.deadline_hits").Increment();
+    failure = RunHop(job, hop, 1, /*fallback=*/true, &response);
+    if (failure.ok()) {
+      response.backend = hop;
+      response.degraded_from = backend;
+      response.degradation_reason = reason;
+      // Degraded answers are never cached: the cache key names the
+      // requested backend, and a future request with a bigger budget
+      // deserves the real thing.
+      return response;
+    }
+    if (resilience::ClassifyFailure(failure.code()) !=
+        resilience::FailureClass::kDegradable) {
       break;
     }
-    Stopwatch watch;
-    Execution execution;
-    {
-      // Hops hang off the innermost span (the attempt's svc.job), so
-      // degraded executions stay inside the job's trace.
-      obs::TraceSpan hop_span(obs::kRequestOnly, "fallback", current);
-      obs::TraceSpan solve_span(obs::kRequestOnly, "solve");
-      execution = ExecuteGuarded(job, current, 1);
-    }
-    Result<SolveOutcome>& outcome = execution.outcome;
-    response.metrics.wall_seconds += watch.ElapsedSeconds();
-    registry.GetHistogram("svc.phase.fallback_wall_ms")
-        .Record(watch.ElapsedMillis());
-    if (!outcome.ok()) {
-      last = outcome.status();
-      if (!execution.short_circuited) {
-        registry.GetCounter("svc.backend." + current + ".failures")
-            .Increment();
-      }
-      if (resilience::ClassifyFailure(last.code()) ==
-          resilience::FailureClass::kDegradable) {
-        // Also taken when this hop's breaker is open or its execution was
-        // watchdog-killed: keep walking toward a healthy backend.
-        continue;
-      }
-      break;
-    }
-    SolveOutcome& result = outcome.value();
-    response.backend = current;
-    response.degraded_from = backend;
-    response.degradation_reason = reason;
-    response.solution = std::move(result.solution);
-    response.provably_optimal = result.provably_optimal;
-    if (!result.completed) {
-      response.status = Status::DeadlineExceeded(
-          "backend " + current +
-          " stopped early (deadline or cancellation); incumbent attached");
-      registry.GetCounter("svc.deadline_hits").Increment();
-    } else {
-      response.status = Status::Ok();
-    }
-    // Degraded answers are never cached: the cache key names the requested
-    // backend, and a future request with a bigger budget deserves the real
-    // thing.
-    return response;
+    // Also reached when this hop's breaker is open or its execution was
+    // watchdog-killed: keep walking toward a healthy backend.
   }
-  response.status = std::move(last);
+  response.status = std::move(failure);
   return response;
 }
 

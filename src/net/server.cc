@@ -202,9 +202,8 @@ bool Server::ReadReady(std::uint64_t conn_id, Connection& conn) {
     }
   }
 
-  // Dispatch every complete line framed so far. The callback may Send() and
-  // CloseAfterFlush() but never CloseConnection() (documented in server.h),
-  // so `conn` stays valid across the loop.
+  // Dispatch every complete line framed so far. The callback may Send() but
+  // cannot close a connection, so `conn` stays valid across the loop.
   std::string line;
   while (conn.splitter.Next(&line)) {
     Metrics().GetCounter("net.lines.parsed").Increment();
@@ -283,17 +282,6 @@ void Server::StopAccepting() {
     CloseFd(listen_fd_);
     listen_fd_ = -1;
   }
-}
-
-void Server::CloseAfterFlush(std::uint64_t conn_id) {
-  const auto it = connections_.find(conn_id);
-  if (it != connections_.end()) {
-    it->second.close_after_flush = true;
-  }
-}
-
-void Server::CloseConnection(std::uint64_t conn_id) {
-  Close(conn_id, "server");
 }
 
 void Server::Close(std::uint64_t conn_id, const char* reason) {

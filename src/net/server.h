@@ -50,8 +50,8 @@ struct ServerCallbacks {
   /// One complete request line (newline stripped). Lines arrive in
   /// per-connection order; across connections, in poll-readiness order.
   std::function<void(std::uint64_t conn_id, std::string line)> on_line;
-  /// The connection is gone (peer closed, error, idle timeout, or an
-  /// explicit CloseConnection). Fired exactly once per accepted connection,
+  /// The connection is gone (peer closed, error, idle timeout, or a
+  /// protocol violation). Fired exactly once per accepted connection,
   /// after its fd is closed; Send() to this id is a no-op from here on.
   std::function<void(std::uint64_t conn_id)> on_close;
   /// A framing-level protocol violation (today: oversize line). The callback
@@ -103,13 +103,6 @@ class Server {
   /// pins a connection while its outstanding-job count is non-zero.
   /// Unknown/closed ids are ignored.
   void SetIdleExempt(std::uint64_t conn_id, bool exempt);
-
-  /// Closes `conn_id` after its pending responses flush (bounded by the
-  /// drain in the destructor / DrainWrites).
-  void CloseAfterFlush(std::uint64_t conn_id);
-
-  /// Closes `conn_id` now, discarding queued bytes.
-  void CloseConnection(std::uint64_t conn_id);
 
   /// Blocks (with poll) until every queued response byte is flushed, each
   /// peer is closed, or `timeout_ms` elapses. The graceful-drain tail.

@@ -58,14 +58,6 @@ void Circuit::Append(Gate gate) {
   gates_.push_back(std::move(gate));
 }
 
-void Circuit::AppendCircuit(const Circuit& other) {
-  QPLEX_CHECK(other.num_qubits() <= num_qubits_)
-      << "appended circuit uses more wires than available";
-  for (const Gate& gate : other.gates_) {
-    Append(gate);
-  }
-}
-
 void Circuit::AppendInverseOfSuffix(int first_gate) {
   AppendInverseOfRange(first_gate, num_gates());
 }
@@ -115,14 +107,6 @@ std::int64_t Circuit::TotalCost() const {
     total += gate.Cost();
   }
   return total;
-}
-
-int Circuit::NumClassicalGates() const {
-  int count = 0;
-  for (const Gate& gate : gates_) {
-    count += gate.IsClassical();
-  }
-  return count;
 }
 
 std::string Circuit::ToString() const {

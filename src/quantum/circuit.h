@@ -64,10 +64,6 @@ class Circuit {
   /// validated against the allocated qubit count.
   void Append(Gate gate);
 
-  /// Appends every gate of `other` (same wire space), preserving gate order
-  /// but re-tagging with the current stage.
-  void AppendCircuit(const Circuit& other);
-
   /// Appends the inverse of everything appended since `first_gate` — used to
   /// uncompute ancillas after the oracle flip.
   void AppendInverseOfSuffix(int first_gate);
@@ -87,9 +83,6 @@ class Circuit {
   std::vector<std::int64_t> CostsByStage() const;
   /// Total cost across all gates.
   std::int64_t TotalCost() const;
-
-  /// Number of classical (non-H) gates.
-  int NumClassicalGates() const;
 
   /// Multi-line listing for debugging / golden tests.
   std::string ToString() const;

@@ -33,6 +33,16 @@ void BM_BuildMkpQubo(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildMkpQubo)->Arg(10)->Arg(20)->Arg(30);
 
+// The sa racer's build in the portfolio_race benchmark workload: G(90, 1300)
+// at k = 2, ~202k AddQuadratic calls folding into ~40k distinct terms.
+void BM_BuildMkpQuboPortfolioRace(benchmark::State& state) {
+  const Graph graph = RandomGnm(90, 1300, 7).value();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(BuildMkpQubo(graph, 2).value().num_variables());
+  }
+}
+BENCHMARK(BM_BuildMkpQuboPortfolioRace)->Unit(benchmark::kMillisecond);
+
 void BM_SaShot(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const Graph graph = RandomGnm(n, n * (n - 1) / 4, 7).value();

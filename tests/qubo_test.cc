@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <map>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "classical/exact.h"
 #include "graph/generators.h"
@@ -240,6 +244,204 @@ TEST(MkpQuboTest, DecodeVertices) {
   sample[0] = sample[3] = 1;
   EXPECT_EQ(qubo.DecodeVertices(sample), (VertexList{0, 3}));
 }
+
+// -- Flat term store vs the map fold ------------------------------------------
+
+/// Bit-level equality: two doubles are the same only if memcmp says so, so a
+/// coefficient summed in a different order fails even when it rounds close.
+bool SameBits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+/// One quadratic term as a model reports it, in its iteration order.
+struct Term {
+  int i;
+  int j;
+  double weight;
+};
+
+std::vector<Term> TermsOf(const QuboModel& model) {
+  std::vector<Term> terms;
+  for (const auto& [key, weight] : model.quadratic_terms()) {
+    terms.push_back({key.first, key.second, weight});
+  }
+  return terms;
+}
+
+/// Reference fold: a std::map keyed (min, max) plus per-variable neighbour
+/// lists that each duplicate updates by a linear scan. This is the store
+/// QuboModel used before its flat term store, kept here so the penalty
+/// expansion can be replayed into it and compared bit for bit.
+class MapFoldQubo {
+ public:
+  explicit MapFoldQubo(int num_variables)
+      : linear_(num_variables, 0.0), neighbors_(num_variables) {}
+
+  void AddOffset(double value) { offset_ += value; }
+  void AddLinear(int i, double weight) { linear_[i] += weight; }
+  void AddQuadratic(int i, int j, double weight) {
+    const auto [it, inserted] = quadratic_.try_emplace(std::minmax(i, j), weight);
+    if (inserted) {
+      neighbors_[i].emplace_back(j, weight);
+      neighbors_[j].emplace_back(i, weight);
+      return;
+    }
+    it->second += weight;
+    for (auto& [other, w] : neighbors_[i]) {
+      if (other == j) {
+        w += weight;
+      }
+    }
+    for (auto& [other, w] : neighbors_[j]) {
+      if (other == i) {
+        w += weight;
+      }
+    }
+  }
+
+  double Evaluate(const QuboSample& sample) const {
+    double energy = offset_;
+    for (std::size_t i = 0; i < linear_.size(); ++i) {
+      if (sample[i]) {
+        energy += linear_[i];
+      }
+    }
+    for (const auto& [key, weight] : quadratic_) {
+      if (sample[key.first] && sample[key.second]) {
+        energy += weight;
+      }
+    }
+    return energy;
+  }
+
+  double FlipDelta(const QuboSample& sample, int i) const {
+    double slope = linear_[i];
+    for (const auto& [j, weight] : neighbors_[i]) {
+      if (sample[j]) {
+        slope += weight;
+      }
+    }
+    return sample[i] ? -slope : slope;
+  }
+
+  std::vector<Term> Terms() const {
+    std::vector<Term> terms;
+    for (const auto& [key, weight] : quadratic_) {
+      terms.push_back({key.first, key.second, weight});
+    }
+    return terms;
+  }
+
+  double offset_ = 0;
+  std::vector<double> linear_;
+  std::map<std::pair<int, int>, double> quadratic_;
+  std::vector<std::vector<std::pair<int, double>>> neighbors_;
+};
+
+/// Replays BuildMkpQubo's penalty expansion (same layout, same call order)
+/// into the map fold.
+MapFoldQubo MapFoldBuild(const MkpQubo& qubo) {
+  MapFoldQubo model(qubo.num_variables());
+  const int n = qubo.num_vertices();
+  for (Vertex v = 0; v < n; ++v) {
+    model.AddLinear(v, -1.0);
+  }
+  const double R = qubo.penalty;
+  for (Vertex v = 0; v < n; ++v) {
+    const double big_m = static_cast<double>(qubo.big_m[v]);
+    std::vector<std::pair<int, double>> terms;
+    for (Vertex j : qubo.complement.Neighbors(v)) {
+      terms.emplace_back(j, 1.0);
+    }
+    for (int r = 0; r < qubo.slack_bits[v]; ++r) {
+      terms.emplace_back(qubo.slack_offset[v] + r,
+                         static_cast<double>(1 << r));
+    }
+    terms.emplace_back(v, big_m);
+    const double constant = -(static_cast<double>(qubo.k - 1) + big_m);
+    model.AddOffset(R * constant * constant);
+    for (std::size_t a = 0; a < terms.size(); ++a) {
+      const auto& [var_a, coeff_a] = terms[a];
+      model.AddLinear(var_a, R * (coeff_a * coeff_a + 2.0 * coeff_a * constant));
+      for (std::size_t b = a + 1; b < terms.size(); ++b) {
+        const auto& [var_b, coeff_b] = terms[b];
+        model.AddQuadratic(var_a, var_b, R * 2.0 * coeff_a * coeff_b);
+      }
+    }
+  }
+  return model;
+}
+
+/// (graph seed, penalty R, use_global_big_m)
+class MkpQuboFoldEqualityTest
+    : public ::testing::TestWithParam<std::tuple<int, double, bool>> {};
+
+TEST_P(MkpQuboFoldEqualityTest, BitIdenticalToTheMapFold) {
+  const auto [seed, penalty, global_big_m] = GetParam();
+  Rng shape(static_cast<std::uint64_t>(seed));
+  const int n = 12 + static_cast<int>(shape.Next() % 29);  // 12..40
+  const double p = 0.2 + 0.6 * shape.UniformDouble();
+  const int k = 1 + seed % 3;
+  const Graph graph = RandomGnp(n, p, seed).value();
+  MkpQuboOptions options;
+  options.penalty = penalty;
+  options.use_global_big_m = global_big_m;
+  const MkpQubo qubo = BuildMkpQubo(graph, k, options).value();
+  const MapFoldQubo reference = MapFoldBuild(qubo);
+  const QuboModel& model = qubo.model;
+  const int num_vars = model.num_variables();
+
+  EXPECT_TRUE(SameBits(model.offset(), reference.offset_));
+  for (int i = 0; i < num_vars; ++i) {
+    EXPECT_TRUE(SameBits(model.linear(i), reference.linear_[i])) << "a_" << i;
+  }
+
+  const std::vector<Term> terms = TermsOf(model);
+  const std::vector<Term> expected = reference.Terms();
+  ASSERT_EQ(terms.size(), expected.size());
+  EXPECT_EQ(model.num_quadratic_terms(),
+            static_cast<std::int64_t>(expected.size()));
+  for (std::size_t t = 0; t < terms.size(); ++t) {
+    ASSERT_EQ(terms[t].i, expected[t].i) << "term " << t;
+    ASSERT_EQ(terms[t].j, expected[t].j) << "term " << t;
+    EXPECT_TRUE(SameBits(terms[t].weight, expected[t].weight))
+        << "b_" << terms[t].i << "," << terms[t].j;
+    EXPECT_TRUE(SameBits(model.quadratic(terms[t].j, terms[t].i),
+                         expected[t].weight));
+  }
+
+  for (int i = 0; i < num_vars; ++i) {
+    const auto& expected_row = reference.neighbors_[i];
+    std::size_t position = 0;
+    for (const auto& [j, weight] : model.Neighbors(i)) {
+      ASSERT_LT(position, expected_row.size()) << "Neighbors(" << i << ")";
+      EXPECT_EQ(j, expected_row[position].first) << "Neighbors(" << i << ")";
+      EXPECT_TRUE(SameBits(weight, expected_row[position].second))
+          << "Neighbors(" << i << ")[" << position << "]";
+      ++position;
+    }
+    EXPECT_EQ(position, expected_row.size()) << "Neighbors(" << i << ")";
+  }
+
+  Rng rng(static_cast<std::uint64_t>(seed) * 977 + 3);
+  QuboSample sample(num_vars);
+  for (int trial = 0; trial < 64; ++trial) {
+    for (auto& bit : sample) {
+      bit = static_cast<std::uint8_t>(rng.Next() & 1);
+    }
+    EXPECT_TRUE(SameBits(model.Evaluate(sample), reference.Evaluate(sample)))
+        << "sample " << trial;
+    for (int i = 0; i < num_vars; ++i) {
+      EXPECT_TRUE(SameBits(model.FlipDelta(sample, i),
+                           reference.FlipDelta(sample, i)))
+          << "sample " << trial << " variable " << i;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, MkpQuboFoldEqualityTest,
+    ::testing::Combine(::testing::Values(3, 17, 40, 101),
+                       ::testing::Values(1.1, 2.0, 8.0),
+                       ::testing::Bool()));
 
 }  // namespace
 }  // namespace qplex

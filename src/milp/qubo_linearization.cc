@@ -21,11 +21,10 @@ LinearizedQubo LinearizeQubo(const QuboModel& model) {
   }
 
   int next = out.num_x;
-  for (const auto& [key, weight] : model.quadratic_terms()) {
+  for (const auto& [u, v, weight] : model.quadratic_terms()) {
     const int y = next++;
-    out.product_vars[key] = y;
+    out.product_vars[{u, v}] = y;
     lp.objective[y] = weight;
-    const auto [u, v] = key;
     // McCormick envelope: y <= x_u, y <= x_v, y >= x_u + x_v - 1, y >= 0.
     lp.AddRowLe({{y, 1.0}, {u, -1.0}}, 0.0);
     lp.AddRowLe({{y, 1.0}, {v, -1.0}}, 0.0);

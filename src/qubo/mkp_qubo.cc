@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 
+#include "common/stopwatch.h"
 #include "graph/kplex.h"
 
 namespace qplex {
@@ -38,6 +39,8 @@ bool MkpQubo::IsFeasible(const QuboSample& sample) const {
 }
 
 VertexList MkpQubo::RepairToPlex(const QuboSample& sample) const {
+  QPLEX_CHECK(static_cast<int>(sample.size()) == num_variables())
+      << "sample arity mismatch";
   const int n = graph.num_vertices();
   VertexBitset members(n);
   for (Vertex v = 0; v < n; ++v) {
@@ -176,17 +179,24 @@ Result<MkpQubo> BuildMkpQubo(const Graph& graph, int k,
     next_variable += qubo.slack_bits[v];
   }
 
-  QuboModel model(next_variable);
+  QuboBuilder builder(next_variable);
   // Objective: maximize the plex size.
   for (Vertex v = 0; v < n; ++v) {
-    model.AddLinear(v, -1.0);
+    builder.AddLinear(v, -1.0);
   }
 
   // Penalty per vertex: R * (sum_{j in N-bar(v)} x_j + s_v - (k-1)
   //                          - M_v (1 - x_v))^2
   // expanded as R * (sum_t c_t z_t + constant)^2 over binary z_t.
   const double R = options.penalty;
+  const Deadline deadline = options.time_limit_seconds > 0
+                                ? Deadline::After(options.time_limit_seconds)
+                                : Deadline::Infinite();
   for (Vertex v = 0; v < n; ++v) {
+    if (StopRequested(deadline, options.cancel)) {
+      return Status::DeadlineExceeded(
+          "qaMKP QUBO build stopped early (deadline or cancellation)");
+    }
     const double big_m = static_cast<double>(qubo.big_m[v]);
     std::vector<std::pair<int, double>> terms;  // (variable, coefficient)
     for (Vertex j : complement.Neighbors(v)) {
@@ -199,20 +209,21 @@ Result<MkpQubo> BuildMkpQubo(const Graph& graph, int k,
     terms.emplace_back(v, big_m);
     const double constant = -(static_cast<double>(k - 1) + big_m);
 
-    model.AddOffset(R * constant * constant);
+    builder.AddOffset(R * constant * constant);
     for (std::size_t a = 0; a < terms.size(); ++a) {
       const auto& [var_a, coeff_a] = terms[a];
       // Diagonal: (c_a z_a)^2 = c_a^2 z_a, plus the cross term with the
       // constant.
-      model.AddLinear(var_a, R * (coeff_a * coeff_a + 2.0 * coeff_a * constant));
+      builder.AddLinear(var_a,
+                        R * (coeff_a * coeff_a + 2.0 * coeff_a * constant));
       for (std::size_t b = a + 1; b < terms.size(); ++b) {
         const auto& [var_b, coeff_b] = terms[b];
-        model.AddQuadratic(var_a, var_b, R * 2.0 * coeff_a * coeff_b);
+        builder.AddQuadratic(var_a, var_b, R * 2.0 * coeff_a * coeff_b);
       }
     }
   }
 
-  qubo.model = std::move(model);
+  qubo.model = builder.Build();
   return qubo;
 }
 

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/cancel.h"
 #include "common/status.h"
 #include "graph/graph.h"
 #include "qubo/qubo_model.h"
@@ -85,10 +86,17 @@ struct MkpQuboOptions {
   /// Demonstrates how much the per-vertex choice saves in slack bits
   /// (Section IV-B1 argues for the smallest safe M).
   bool use_global_big_m = false;
+  /// Wall-clock budget; <= 0 is unlimited. Checked once per vertex penalty.
+  double time_limit_seconds = 0;
+  /// Optional cooperative cancellation (service portfolio races); polled
+  /// together with the deadline. May be null.
+  const CancelToken* cancel = nullptr;
 };
 
 /// Builds the qaMKP QUBO for `graph` and `k`. Fails for k < 1 or
-/// penalty <= 1 (the correctness bound of Section IV-B3).
+/// penalty <= 1 (the correctness bound of Section IV-B3), and with
+/// kDeadlineExceeded when the deadline or the cancel token stops the build
+/// before its last vertex penalty.
 Result<MkpQubo> BuildMkpQubo(const Graph& graph, int k,
                              const MkpQuboOptions& options = {});
 

@@ -1,45 +1,29 @@
 #include "qubo/qubo_model.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <sstream>
 
 namespace qplex {
+namespace {
+
+/// Initial size of the builder's hash index (a power of two).
+constexpr std::size_t kInitialIndexSize = 16;
+
+std::size_t KeyHash(int i, int j) {
+  const std::uint64_t key = (static_cast<std::uint64_t>(i) << 32) |
+                            static_cast<std::uint32_t>(j);
+  return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >> 32);
+}
+
+}  // namespace
 
 QuboModel::QuboModel(int num_variables)
     : num_variables_(num_variables),
       linear_(num_variables, 0.0),
-      neighbors_(num_variables) {
+      row_start_(num_variables + 1, 0),
+      neighbor_start_(num_variables + 1, 0) {
   QPLEX_CHECK(num_variables >= 0) << "negative variable count";
-}
-
-void QuboModel::AddLinear(int i, double weight) {
-  QPLEX_CHECK(i >= 0 && i < num_variables_) << "variable " << i << " of "
-                                            << num_variables_;
-  linear_[i] += weight;
-}
-
-void QuboModel::AddQuadratic(int i, int j, double weight) {
-  QPLEX_CHECK(i >= 0 && i < num_variables_) << "variable " << i;
-  QPLEX_CHECK(j >= 0 && j < num_variables_) << "variable " << j;
-  QPLEX_CHECK(i != j) << "diagonal terms belong in AddLinear (x^2 == x)";
-  const auto key = std::minmax(i, j);
-  const auto [it, inserted] = quadratic_.try_emplace(key, weight);
-  if (inserted) {
-    neighbors_[i].emplace_back(j, weight);
-    neighbors_[j].emplace_back(i, weight);
-  } else {
-    it->second += weight;
-    for (auto& [other, w] : neighbors_[i]) {
-      if (other == j) {
-        w += weight;
-      }
-    }
-    for (auto& [other, w] : neighbors_[j]) {
-      if (other == i) {
-        w += weight;
-      }
-    }
-  }
 }
 
 double QuboModel::linear(int i) const {
@@ -48,8 +32,16 @@ double QuboModel::linear(int i) const {
 }
 
 double QuboModel::quadratic(int i, int j) const {
-  const auto it = quadratic_.find(std::minmax(i, j));
-  return it == quadratic_.end() ? 0.0 : it->second;
+  const auto [lo, hi] = std::minmax(i, j);
+  if (lo < 0 || hi >= num_variables_) {
+    return 0.0;
+  }
+  const auto first = terms_.begin() + row_start_[lo];
+  const auto last = terms_.begin() + row_start_[lo + 1];
+  const auto it = std::lower_bound(
+      first, last, hi,
+      [](const QuboTerm& term, int column) { return term.j < column; });
+  return it != last && it->j == hi ? it->weight : 0.0;
 }
 
 double QuboModel::Evaluate(const QuboSample& sample) const {
@@ -61,8 +53,8 @@ double QuboModel::Evaluate(const QuboSample& sample) const {
       energy += linear_[i];
     }
   }
-  for (const auto& [key, weight] : quadratic_) {
-    if (sample[key.first] && sample[key.second]) {
+  for (const auto& [i, j, weight] : terms_) {
+    if (sample[i] && sample[j]) {
       energy += weight;
     }
   }
@@ -73,7 +65,8 @@ double QuboModel::FlipDelta(const QuboSample& sample, int i) const {
   QPLEX_CHECK(i >= 0 && i < num_variables_) << "variable " << i;
   // Contribution of x_i given the rest of the sample.
   double slope = linear_[i];
-  for (const auto& [j, weight] : neighbors_[i]) {
+  for (int e = neighbor_start_[i]; e < neighbor_start_[i + 1]; ++e) {
+    const auto& [j, weight] = neighbors_[e];
     if (sample[j]) {
       slope += weight;
     }
@@ -81,16 +74,17 @@ double QuboModel::FlipDelta(const QuboSample& sample, int i) const {
   return sample[i] ? -slope : slope;
 }
 
-const std::vector<std::pair<int, double>>& QuboModel::Neighbors(int i) const {
+std::span<const std::pair<int, double>> QuboModel::Neighbors(int i) const {
   QPLEX_CHECK(i >= 0 && i < num_variables_) << "variable " << i;
-  return neighbors_[i];
+  return {neighbors_.data() + neighbor_start_[i],
+          neighbors_.data() + neighbor_start_[i + 1]};
 }
 
 Graph QuboModel::InteractionGraph() const {
   Graph graph(num_variables_);
-  for (const auto& [key, weight] : quadratic_) {
+  for (const auto& [i, j, weight] : terms_) {
     if (weight != 0.0) {
-      graph.AddEdge(key.first, key.second);
+      graph.AddEdge(i, j);
     }
   }
   return graph;
@@ -107,11 +101,11 @@ IsingModel QuboModel::ToIsing() const {
     ising.offset += linear_[i] / 2;
     ising.fields[i] += linear_[i] / 2;
   }
-  for (const auto& [key, weight] : quadratic_) {
+  for (const auto& [i, j, weight] : terms_) {
     ising.offset += weight / 4;
-    ising.fields[key.first] += weight / 4;
-    ising.fields[key.second] += weight / 4;
-    ising.couplings.push_back({key, weight / 4});
+    ising.fields[i] += weight / 4;
+    ising.fields[j] += weight / 4;
+    ising.couplings.push_back({{i, j}, weight / 4});
   }
   return ising;
 }
@@ -119,9 +113,105 @@ IsingModel QuboModel::ToIsing() const {
 std::string QuboModel::ToString() const {
   std::ostringstream out;
   out << "QuboModel(vars=" << num_variables_
-      << ", quadratic_terms=" << quadratic_.size() << ", offset=" << offset_
+      << ", quadratic_terms=" << terms_.size() << ", offset=" << offset_
       << ")";
   return out.str();
+}
+
+QuboBuilder::QuboBuilder(int num_variables)
+    : num_variables_(num_variables),
+      linear_(num_variables, 0.0),
+      index_(kInitialIndexSize, -1) {
+  QPLEX_CHECK(num_variables >= 0) << "negative variable count";
+}
+
+void QuboBuilder::AddLinear(int i, double weight) {
+  QPLEX_CHECK(i >= 0 && i < num_variables_) << "variable " << i << " of "
+                                            << num_variables_;
+  linear_[i] += weight;
+}
+
+void QuboBuilder::AddQuadratic(int i, int j, double weight) {
+  QPLEX_CHECK(i >= 0 && i < num_variables_) << "variable " << i;
+  QPLEX_CHECK(j >= 0 && j < num_variables_) << "variable " << j;
+  QPLEX_CHECK(i != j) << "diagonal terms belong in AddLinear (x^2 == x)";
+  const auto [lo, hi] = std::minmax(i, j);
+  std::size_t bucket = 0;
+  const int slot = Find(lo, hi, &bucket);
+  if (slot >= 0) {
+    slots_[slot].weight += weight;
+    return;
+  }
+  index_[bucket] = static_cast<int>(slots_.size());
+  slots_.push_back({lo, hi, weight});
+  if (2 * slots_.size() > index_.size()) {
+    GrowIndex();
+  }
+}
+
+int QuboBuilder::Find(int i, int j, std::size_t* bucket) const {
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t b = KeyHash(i, j) & mask;; b = (b + 1) & mask) {
+    const int slot = index_[b];
+    if (slot < 0 || (slots_[slot].i == i && slots_[slot].j == j)) {
+      *bucket = b;
+      return slot;
+    }
+  }
+}
+
+void QuboBuilder::GrowIndex() {
+  index_.assign(2 * index_.size(), -1);
+  const std::size_t mask = index_.size() - 1;
+  for (int slot = 0; slot < static_cast<int>(slots_.size()); ++slot) {
+    std::size_t b = KeyHash(slots_[slot].i, slots_[slot].j) & mask;
+    while (index_[b] >= 0) {
+      b = (b + 1) & mask;
+    }
+    index_[b] = slot;
+  }
+}
+
+QuboModel QuboBuilder::Build() {
+  const int n = num_variables_;
+  QuboModel model(n);
+  model.offset_ = offset_;
+  model.linear_ = std::move(linear_);
+
+  // Counting pass: row sizes (terms keyed on their smaller variable) and
+  // neighbour-list sizes, turned into start offsets.
+  for (const QuboTerm& term : slots_) {
+    ++model.row_start_[term.i + 1];
+    ++model.neighbor_start_[term.i + 1];
+    ++model.neighbor_start_[term.j + 1];
+  }
+  for (int i = 0; i < n; ++i) {
+    model.row_start_[i + 1] += model.row_start_[i];
+    model.neighbor_start_[i + 1] += model.neighbor_start_[i];
+  }
+
+  // One walk of the slots in first-insertion order fills both arrays, so
+  // every neighbour list keeps the order its keys arrived in.
+  model.terms_.resize(slots_.size());
+  model.neighbors_.resize(2 * slots_.size());
+  std::vector<int> row_fill(model.row_start_.begin(),
+                            model.row_start_.end() - 1);
+  std::vector<int> neighbor_fill(model.neighbor_start_.begin(),
+                                 model.neighbor_start_.end() - 1);
+  for (const QuboTerm& term : slots_) {
+    model.terms_[row_fill[term.i]++] = term;
+    model.neighbors_[neighbor_fill[term.i]++] = {term.j, term.weight};
+    model.neighbors_[neighbor_fill[term.j]++] = {term.i, term.weight};
+  }
+  // Keys are distinct, so sorting each row on j gives ascending (i, j).
+  for (int i = 0; i < n; ++i) {
+    std::sort(model.terms_.begin() + model.row_start_[i],
+              model.terms_.begin() + model.row_start_[i + 1],
+              [](const QuboTerm& a, const QuboTerm& b) { return a.j < b.j; });
+  }
+
+  *this = QuboBuilder(n);
+  return model;
 }
 
 }  // namespace qplex

@@ -2,7 +2,7 @@
 #define QPLEX_QUBO_QUBO_MODEL_H_
 
 #include <cstdint>
-#include <map>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,33 +23,41 @@ struct IsingModel {
   std::vector<std::pair<std::pair<int, int>, double>> couplings;  // J_ij, i<j
 };
 
+/// One folded quadratic term b_ij x_i x_j with i < j.
+struct QuboTerm {
+  int i;
+  int j;
+  double weight;
+};
+
 /// A quadratic unconstrained binary optimization problem
 ///   E(x) = offset + sum_i a_i x_i + sum_{i<j} b_ij x_i x_j,  x_i in {0,1},
-/// to be minimized. Quadratic terms are stored symmetrically folded onto
-/// i < j; duplicate Add calls accumulate. Per-variable adjacency is kept so
-/// annealers can compute single-flip energy deltas in O(degree).
+/// to be minimized. Built once by QuboBuilder and immutable afterwards.
+///
+/// The terms live in two flat arrays:
+///   - quadratic_terms(): every distinct (i, j), i < j, in ascending (i, j)
+///     order, row i contiguous. Evaluate, ToIsing and InteractionGraph walk
+///     this order.
+///   - Neighbors(i): the (j, b_ij) pairs touching i, in the order their keys
+///     were first added. FlipDelta sums in this order.
+/// Each coefficient is the sum of its Add calls in call order, so the same
+/// call stream always yields bit-identical coefficients and energies.
 class QuboModel {
  public:
+  /// A model with `num_variables` variables and no terms.
   explicit QuboModel(int num_variables);
 
   int num_variables() const { return num_variables_; }
   double offset() const { return offset_; }
 
-  void AddOffset(double value) { offset_ += value; }
-  /// Accumulates a_i += weight.
-  void AddLinear(int i, double weight);
-  /// Accumulates b_ij += weight (i != j; stored on the i<j key).
-  void AddQuadratic(int i, int j, double weight);
-
   double linear(int i) const;
-  /// Quadratic coefficient (0 when absent).
+  /// Quadratic coefficient (0 when absent). O(log deg).
   double quadratic(int i, int j) const;
-  /// All quadratic terms with nonzero accumulated weight, keyed (i, j), i<j.
-  const std::map<std::pair<int, int>, double>& quadratic_terms() const {
-    return quadratic_;
-  }
+  /// All quadratic terms ever added (including any that folded to 0), i < j,
+  /// in ascending (i, j) order.
+  const std::vector<QuboTerm>& quadratic_terms() const { return terms_; }
   std::int64_t num_quadratic_terms() const {
-    return static_cast<std::int64_t>(quadratic_.size());
+    return static_cast<std::int64_t>(terms_.size());
   }
 
   /// Full energy of a sample. O(n + #terms).
@@ -59,7 +67,7 @@ class QuboModel {
   double FlipDelta(const QuboSample& sample, int i) const;
 
   /// Variables adjacent to i through quadratic terms, with their weights.
-  const std::vector<std::pair<int, double>>& Neighbors(int i) const;
+  std::span<const std::pair<int, double>> Neighbors(int i) const;
 
   /// The interaction graph: vertices = variables, edges = quadratic terms.
   /// This is what gets minor-embedded onto annealer hardware.
@@ -72,11 +80,51 @@ class QuboModel {
   std::string ToString() const;
 
  private:
+  friend class QuboBuilder;
+
   int num_variables_;
   double offset_ = 0;
   std::vector<double> linear_;
-  std::map<std::pair<int, int>, double> quadratic_;
-  std::vector<std::vector<std::pair<int, double>>> neighbors_;
+  /// Ascending (i, j); row i is terms_[row_start_[i], row_start_[i + 1]).
+  std::vector<QuboTerm> terms_;
+  std::vector<int> row_start_;
+  /// Neighbors(i) is neighbors_[neighbor_start_[i], neighbor_start_[i + 1]).
+  std::vector<std::pair<int, double>> neighbors_;
+  std::vector<int> neighbor_start_;
+};
+
+/// Accumulates a QuboModel. Duplicate AddQuadratic calls fold in O(1): a hash
+/// index maps each (min, max) key to the slot of its first insertion, and the
+/// slot's weight sums the calls in call order. Build() then sorts the
+/// distinct keys once.
+class QuboBuilder {
+ public:
+  explicit QuboBuilder(int num_variables);
+
+  int num_variables() const { return num_variables_; }
+
+  void AddOffset(double value) { offset_ += value; }
+  /// Accumulates a_i += weight.
+  void AddLinear(int i, double weight);
+  /// Accumulates b_ij += weight (i != j; stored on the i<j key).
+  void AddQuadratic(int i, int j, double weight);
+
+  /// The finished model. Leaves the builder empty.
+  QuboModel Build();
+
+ private:
+  /// Slot index of key (i, j), i < j, or -1; `*bucket` is where it sits or
+  /// would be inserted.
+  int Find(int i, int j, std::size_t* bucket) const;
+  void GrowIndex();
+
+  int num_variables_;
+  double offset_ = 0;
+  std::vector<double> linear_;
+  /// Distinct keys (i < j) in first-insertion order with their folded weight.
+  std::vector<QuboTerm> slots_;
+  /// Open-addressing hash of slot indices (-1 = empty); size a power of two.
+  std::vector<int> index_;
 };
 
 }  // namespace qplex

@@ -213,12 +213,35 @@ class QmkpBackend : public Solver {
   }
 };
 
+/// Builds the qaMKP QUBO under the execution's deadline and cancel token.
+/// A build the context stops comes back as kDeadlineExceeded.
+Result<MkpQubo> BuildQubo(const SolveRequest& request,
+                          const SolveContext& context) {
+  MkpQuboOptions options;
+  options.time_limit_seconds = context.budget_seconds;
+  options.cancel = context.cancel;
+  return BuildMkpQubo(request.graph, request.k, options);
+}
+
+/// The outcome of a backend the context stopped before it had a candidate:
+/// OK, not completed, empty solution (no failure tick, no retry).
+SolveOutcome StoppedBeforeAnyCandidate() {
+  SolveOutcome outcome;
+  outcome.completed = false;
+  return outcome;
+}
+
 /// Shared tail of the QUBO-based backends: build the qaMKP QUBO, run an
 /// annealer over it, repair the best sample to a k-plex.
 template <typename Runner>
 Result<SolveOutcome> RunQuboBackend(const SolveRequest& request,
+                                    const SolveContext& context,
                                     const Runner& runner) {
-  QPLEX_ASSIGN_OR_RETURN(MkpQubo qubo, BuildMkpQubo(request.graph, request.k));
+  Result<MkpQubo> built = BuildQubo(request, context);
+  if (built.status().code() == StatusCode::kDeadlineExceeded) {
+    return StoppedBeforeAnyCandidate();
+  }
+  QPLEX_ASSIGN_OR_RETURN(MkpQubo qubo, std::move(built));
   QPLEX_ASSIGN_OR_RETURN(AnnealResult result, runner(qubo));
   SolveOutcome outcome;
   outcome.solution = SolutionFromMembers(qubo.RepairToPlex(result.best_sample));
@@ -256,7 +279,7 @@ class SaBackend : public Solver {
     options.cancel = context.cancel;
     options.seed = request.seed;
     obs::IncumbentReporter reporter(name());
-    return RunQuboBackend(request, [&](const MkpQubo& qubo) {
+    return RunQuboBackend(request, context, [&](const MkpQubo& qubo) {
       if (reporter.enabled()) {
         options.hooks = MakeAnnealReporterHooks(&reporter, &qubo);
       }
@@ -279,7 +302,7 @@ class PtBackend : public Solver {
     options.cancel = context.cancel;
     options.seed = request.seed;
     obs::IncumbentReporter reporter(name());
-    return RunQuboBackend(request, [&](const MkpQubo& qubo) {
+    return RunQuboBackend(request, context, [&](const MkpQubo& qubo) {
       if (reporter.enabled()) {
         options.hooks = MakeAnnealReporterHooks(&reporter, &qubo);
       }
@@ -302,7 +325,7 @@ class PiaBackend : public Solver {
     options.cancel = context.cancel;
     options.seed = request.seed;
     obs::IncumbentReporter reporter(name());
-    return RunQuboBackend(request, [&](const MkpQubo& qubo) {
+    return RunQuboBackend(request, context, [&](const MkpQubo& qubo) {
       if (reporter.enabled()) {
         options.hooks = MakeAnnealReporterHooks(&reporter, &qubo);
       }
@@ -324,7 +347,7 @@ class HybridBackend : public Solver {
     options.cancel = context.cancel;
     options.seed = request.seed;
     obs::IncumbentReporter reporter(name());
-    return RunQuboBackend(request, [&](const MkpQubo& qubo) {
+    return RunQuboBackend(request, context, [&](const MkpQubo& qubo) {
       options.refine = [&qubo](QuboSample* sample) {
         qubo.ImproveSample(sample);
       };
@@ -342,8 +365,11 @@ class MilpBackend : public Solver {
 
   Result<SolveOutcome> Solve(const SolveRequest& request,
                              const SolveContext& context) const override {
-    QPLEX_ASSIGN_OR_RETURN(MkpQubo qubo,
-                           BuildMkpQubo(request.graph, request.k));
+    Result<MkpQubo> built = BuildQubo(request, context);
+    if (built.status().code() == StatusCode::kDeadlineExceeded) {
+      return StoppedBeforeAnyCandidate();
+    }
+    QPLEX_ASSIGN_OR_RETURN(MkpQubo qubo, std::move(built));
     const LinearizedQubo linearized = LinearizeQubo(qubo.model);
     MilpSolverOptions options;
     // Unlike the anytime solvers, B&B without a limit can run for hours on a

@@ -17,13 +17,13 @@ namespace {
 /// A tiny QUBO with a known unique minimum: E = (x0 + x1 - 1)^2 - x2,
 /// minimized at exactly one of {x0, x1} set and x2 = 1, energy -1.
 QuboModel ToyModel() {
-  QuboModel model(3);
-  model.AddOffset(1.0);
-  model.AddLinear(0, -1.0);
-  model.AddLinear(1, -1.0);
-  model.AddQuadratic(0, 1, 2.0);
-  model.AddLinear(2, -1.0);
-  return model;
+  QuboBuilder builder(3);
+  builder.AddOffset(1.0);
+  builder.AddLinear(0, -1.0);
+  builder.AddLinear(1, -1.0);
+  builder.AddQuadratic(0, 1, 2.0);
+  builder.AddLinear(2, -1.0);
+  return builder.Build();
 }
 
 TEST(SimulatedAnnealerTest, SolvesToyModel) {

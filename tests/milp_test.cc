@@ -136,11 +136,11 @@ TEST(MilpTest, NodeLimitStopsEarly) {
 // -- QUBO linearization ---------------------------------------------------------
 
 TEST(LinearizationTest, StructureMatchesPaperEq14) {
-  QuboModel model(3);
-  model.AddLinear(0, -1.0);
-  model.AddQuadratic(0, 1, 2.0);
-  model.AddQuadratic(1, 2, -1.5);
-  const LinearizedQubo linearized = LinearizeQubo(model);
+  QuboBuilder builder(3);
+  builder.AddLinear(0, -1.0);
+  builder.AddQuadratic(0, 1, 2.0);
+  builder.AddQuadratic(1, 2, -1.5);
+  const LinearizedQubo linearized = LinearizeQubo(builder.Build());
   EXPECT_EQ(linearized.num_x, 3);
   EXPECT_EQ(linearized.milp.lp.num_vars, 5);  // 3 x + 2 y
   EXPECT_EQ(linearized.milp.binary_vars.size(), 3u);
@@ -150,17 +150,18 @@ TEST(LinearizationTest, StructureMatchesPaperEq14) {
 
 TEST(LinearizationTest, MilpMatchesQuboMinimumExhaustively) {
   Rng rng(31);
-  QuboModel model(5);
+  QuboBuilder builder(5);
   for (int i = 0; i < 5; ++i) {
-    model.AddLinear(i, rng.UniformDouble() * 4 - 2);
+    builder.AddLinear(i, rng.UniformDouble() * 4 - 2);
   }
   for (int i = 0; i < 5; ++i) {
     for (int j = i + 1; j < 5; ++j) {
       if (rng.Bernoulli(0.7)) {
-        model.AddQuadratic(i, j, rng.UniformDouble() * 4 - 2);
+        builder.AddQuadratic(i, j, rng.UniformDouble() * 4 - 2);
       }
     }
   }
+  const QuboModel model = builder.Build();
   // Exhaustive QUBO minimum.
   double qubo_min = 1e300;
   for (std::uint64_t a = 0; a < 32; ++a) {
@@ -197,10 +198,11 @@ TEST(LinearizationTest, EndToEndMkpViaMilp) {
 }
 
 TEST(LinearizationTest, RoundingHeuristicProducesConsistentPoints) {
-  QuboModel model(4);
-  model.AddLinear(0, -2.0);
-  model.AddQuadratic(0, 1, 1.0);
-  model.AddQuadratic(2, 3, -1.0);
+  QuboBuilder builder(4);
+  builder.AddLinear(0, -2.0);
+  builder.AddQuadratic(0, 1, 1.0);
+  builder.AddQuadratic(2, 3, -1.0);
+  const QuboModel model = builder.Build();
   const LinearizedQubo linearized = LinearizeQubo(model);
   const auto heuristic = MakeQuboRoundingHeuristic(model, linearized);
   std::vector<double> lp_x(linearized.milp.lp.num_vars, 0.6);

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "classical/exact.h"
+#include "common/cancel.h"
 #include "graph/generators.h"
 #include "graph/instances.h"
 #include "graph/kplex.h"
@@ -18,12 +19,13 @@ namespace qplex {
 namespace {
 
 TEST(QuboModelTest, EvaluateLinearAndQuadratic) {
-  QuboModel model(3);
-  model.AddOffset(1.5);
-  model.AddLinear(0, 2.0);
-  model.AddLinear(2, -1.0);
-  model.AddQuadratic(0, 1, 4.0);
-  model.AddQuadratic(1, 2, -3.0);
+  QuboBuilder builder(3);
+  builder.AddOffset(1.5);
+  builder.AddLinear(0, 2.0);
+  builder.AddLinear(2, -1.0);
+  builder.AddQuadratic(0, 1, 4.0);
+  builder.AddQuadratic(1, 2, -3.0);
+  const QuboModel model = builder.Build();
 
   EXPECT_DOUBLE_EQ(model.Evaluate({0, 0, 0}), 1.5);
   EXPECT_DOUBLE_EQ(model.Evaluate({1, 0, 0}), 3.5);
@@ -32,9 +34,10 @@ TEST(QuboModelTest, EvaluateLinearAndQuadratic) {
 }
 
 TEST(QuboModelTest, QuadraticAccumulates) {
-  QuboModel model(2);
-  model.AddQuadratic(0, 1, 1.0);
-  model.AddQuadratic(1, 0, 2.5);  // folded onto the same key
+  QuboBuilder builder(2);
+  builder.AddQuadratic(0, 1, 1.0);
+  builder.AddQuadratic(1, 0, 2.5);  // folded onto the same key
+  const QuboModel model = builder.Build();
   EXPECT_DOUBLE_EQ(model.quadratic(0, 1), 3.5);
   EXPECT_DOUBLE_EQ(model.quadratic(1, 0), 3.5);
   EXPECT_EQ(model.num_quadratic_terms(), 1);
@@ -42,17 +45,18 @@ TEST(QuboModelTest, QuadraticAccumulates) {
 
 TEST(QuboModelTest, FlipDeltaMatchesFullEvaluation) {
   Rng rng(5);
-  QuboModel model(8);
+  QuboBuilder builder(8);
   for (int i = 0; i < 8; ++i) {
-    model.AddLinear(i, rng.UniformDouble() * 4 - 2);
+    builder.AddLinear(i, rng.UniformDouble() * 4 - 2);
   }
   for (int i = 0; i < 8; ++i) {
     for (int j = i + 1; j < 8; ++j) {
       if (rng.Bernoulli(0.5)) {
-        model.AddQuadratic(i, j, rng.UniformDouble() * 4 - 2);
+        builder.AddQuadratic(i, j, rng.UniformDouble() * 4 - 2);
       }
     }
   }
+  const QuboModel model = builder.Build();
   QuboSample sample(8);
   for (int trial = 0; trial < 64; ++trial) {
     for (int i = 0; i < 8; ++i) {
@@ -69,10 +73,10 @@ TEST(QuboModelTest, FlipDeltaMatchesFullEvaluation) {
 }
 
 TEST(QuboModelTest, InteractionGraph) {
-  QuboModel model(4);
-  model.AddQuadratic(0, 1, 1.0);
-  model.AddQuadratic(2, 3, -1.0);
-  const Graph graph = model.InteractionGraph();
+  QuboBuilder builder(4);
+  builder.AddQuadratic(0, 1, 1.0);
+  builder.AddQuadratic(2, 3, -1.0);
+  const Graph graph = builder.Build().InteractionGraph();
   EXPECT_EQ(graph.num_edges(), 2);
   EXPECT_TRUE(graph.HasEdge(0, 1));
   EXPECT_TRUE(graph.HasEdge(2, 3));
@@ -82,18 +86,19 @@ TEST(QuboModelTest, InteractionGraph) {
 TEST(QuboModelTest, IsingRoundTripEnergy) {
   // The Ising transform must preserve energies for every assignment.
   Rng rng(9);
-  QuboModel model(6);
+  QuboBuilder builder(6);
   for (int i = 0; i < 6; ++i) {
-    model.AddLinear(i, rng.UniformDouble() * 2 - 1);
+    builder.AddLinear(i, rng.UniformDouble() * 2 - 1);
   }
-  model.AddOffset(0.7);
+  builder.AddOffset(0.7);
   for (int i = 0; i < 6; ++i) {
     for (int j = i + 1; j < 6; ++j) {
       if (rng.Bernoulli(0.6)) {
-        model.AddQuadratic(i, j, rng.UniformDouble() * 2 - 1);
+        builder.AddQuadratic(i, j, rng.UniformDouble() * 2 - 1);
       }
     }
   }
+  const QuboModel model = builder.Build();
   const IsingModel ising = model.ToIsing();
   for (std::uint64_t assignment = 0; assignment < 64; ++assignment) {
     QuboSample sample(6);
@@ -238,6 +243,33 @@ TEST(MkpQuboTest, SlackCountIsNLogN) {
   EXPECT_LE(qubo.num_variables(), bound);
 }
 
+TEST(MkpQuboTest, BuildPollsOncePerVertexPenalty) {
+  CancelToken cancel;
+  MkpQuboOptions options;
+  options.cancel = &cancel;
+  ASSERT_TRUE(BuildMkpQubo(RandomGnm(20, 95, 1).value(), 2, options).ok());
+  EXPECT_EQ(cancel.polls(), 20u);
+}
+
+TEST(MkpQuboTest, PreCancelledTokenStopsTheBuildAtItsFirstPoll) {
+  CancelToken cancel;
+  cancel.Cancel();
+  MkpQuboOptions options;
+  options.cancel = &cancel;
+  const Result<MkpQubo> built =
+      BuildMkpQubo(RandomGnm(20, 95, 1).value(), 2, options);
+  ASSERT_FALSE(built.ok());
+  EXPECT_EQ(built.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(cancel.polls(), 1u);
+}
+
+TEST(MkpQuboDeathTest, RepairToPlexChecksSampleArity) {
+  // A sample shorter than the variable count would be read out of bounds.
+  const MkpQubo qubo = BuildMkpQubo(PaperExampleGraph(), 2).value();
+  const QuboSample short_sample(qubo.num_vertices() - 1, 1);
+  EXPECT_DEATH(qubo.RepairToPlex(short_sample), "arity");
+}
+
 TEST(MkpQuboTest, DecodeVertices) {
   const MkpQubo qubo = BuildMkpQubo(PaperExampleGraph(), 2).value();
   QuboSample sample(qubo.num_variables(), 0);
@@ -260,8 +292,8 @@ struct Term {
 
 std::vector<Term> TermsOf(const QuboModel& model) {
   std::vector<Term> terms;
-  for (const auto& [key, weight] : model.quadratic_terms()) {
-    terms.push_back({key.first, key.second, weight});
+  for (const auto& [i, j, weight] : model.quadratic_terms()) {
+    terms.push_back({i, j, weight});
   }
   return terms;
 }

@@ -21,6 +21,7 @@
 
 #include "classical/bs_solver.h"
 #include "classical/exact.h"
+#include "common/cancel.h"
 #include "common/status.h"
 #include "common/stopwatch.h"
 #include "graph/generators.h"
@@ -197,6 +198,30 @@ TEST(RegistryTest, MalformedOptionFailsTheJob) {
   }
 }
 
+TEST(RegistryTest, QuboBackendsStoppedInTheBuildReturnAnEmptyIncompleteOutcome) {
+  // A build the context stops is not a failure: OK, not completed, no
+  // solution, so the scheduler reports "stopped early" and never retries.
+  const SolverRegistry registry = MakeBuiltinRegistry();
+  SolveRequest request;
+  request.graph = TwoBlockGraph();
+  request.k = 2;
+  CancelToken cancel;
+  cancel.Cancel();
+  SolveContext context;
+  context.cancel = &cancel;
+  for (const char* backend : {"sa", "pt", "pia", "hybrid", "milp"}) {
+    const std::uint64_t polls_before = cancel.polls();
+    const Result<SolveOutcome> outcome =
+        registry.Get(backend)->Solve(request, context);
+    ASSERT_TRUE(outcome.ok()) << backend << ": " << outcome.status();
+    EXPECT_FALSE(outcome.value().completed) << backend;
+    EXPECT_EQ(outcome.value().solution.size, 0) << backend;
+    EXPECT_TRUE(outcome.value().solution.members.empty()) << backend;
+    // The build's first poll saw the cancellation; nothing ran after it.
+    EXPECT_EQ(cancel.polls() - polls_before, 1u) << backend;
+  }
+}
+
 class SchedulerTest : public ::testing::Test {
  protected:
   SchedulerTest() : registry_(MakeBuiltinRegistry()) {}
@@ -303,6 +328,34 @@ TEST_F(SchedulerTest, CancelStopsARunningJob) {
   EXPECT_EQ(response.status.code(), StatusCode::kDeadlineExceeded);
   // The incumbent at cancellation time is still attached.
   EXPECT_GE(response.solution.size, 1);
+}
+
+TEST_F(SchedulerTest, CancelDuringTheQuboBuildStopsAnSaJobEarly) {
+  obs::MetricsRegistry::Global().Reset();
+  JobScheduler scheduler(&registry_);
+  SolveRequest request;
+  // ~1.8M penalty-expansion calls: tens of milliseconds with the flat term
+  // store, seconds when every duplicate scanned the neighbour lists.
+  request.graph = RandomGnm(150, 300, 5).value();
+  request.k = 2;
+  request.backend = "sa";
+  request.options["shots"] = "100000000";  // minutes if uncancelled
+  const Result<JobId> id = scheduler.Submit(std::move(request));
+  ASSERT_TRUE(id.ok()) << id.status();
+  while (scheduler.QueueDepth() > 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  Stopwatch since_cancel;
+  scheduler.Cancel(id.value());
+  const SolveResponse response = scheduler.Wait(id.value());
+  EXPECT_LT(since_cancel.ElapsedSeconds(), 2.0);
+  EXPECT_EQ(response.status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_NE(response.status.message().find("backend sa stopped early"),
+            std::string::npos)
+      << response.status;
+  EXPECT_EQ(response.attempts, 1);
+  EXPECT_EQ(CounterValue("svc.backend.sa.failures"), 0);
 }
 
 TEST_F(SchedulerTest, PortfolioPicksProvablyOptimalWinnerAndCancelsLosers) {

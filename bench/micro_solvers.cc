@@ -33,8 +33,8 @@ void BM_BuildMkpQubo(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildMkpQubo)->Arg(10)->Arg(20)->Arg(30);
 
-// The sa racer's build in the portfolio_race benchmark workload: G(90, 1300)
-// at k = 2, ~202k AddQuadratic calls folding into ~40k distinct terms.
+// The sa racer's build at the portfolio_race benchmark workload's shape:
+// G(90, 1300) at k = 2, ~202k AddQuadratic calls folding into ~40k terms.
 void BM_BuildMkpQuboPortfolioRace(benchmark::State& state) {
   const Graph graph = RandomGnm(90, 1300, 7).value();
   for (auto _ : state) {

@@ -21,7 +21,6 @@ std::size_t KeyHash(int i, int j) {
 QuboModel::QuboModel(int num_variables)
     : num_variables_(num_variables),
       linear_(num_variables, 0.0),
-      row_start_(num_variables + 1, 0),
       neighbor_start_(num_variables + 1, 0) {
   QPLEX_CHECK(num_variables >= 0) << "negative variable count";
 }
@@ -36,12 +35,12 @@ double QuboModel::quadratic(int i, int j) const {
   if (lo < 0 || hi >= num_variables_) {
     return 0.0;
   }
-  const auto first = terms_.begin() + row_start_[lo];
-  const auto last = terms_.begin() + row_start_[lo + 1];
   const auto it = std::lower_bound(
-      first, last, hi,
-      [](const QuboTerm& term, int column) { return term.j < column; });
-  return it != last && it->j == hi ? it->weight : 0.0;
+      terms_.begin(), terms_.end(), std::pair(lo, hi),
+      [](const QuboTerm& term, std::pair<int, int> key) {
+        return std::pair(term.i, term.j) < key;
+      });
+  return it != terms_.end() && it->i == lo && it->j == hi ? it->weight : 0.0;
 }
 
 double QuboModel::Evaluate(const QuboSample& sample) const {
@@ -178,37 +177,29 @@ QuboModel QuboBuilder::Build() {
   model.offset_ = offset_;
   model.linear_ = std::move(linear_);
 
-  // Counting pass: row sizes (terms keyed on their smaller variable) and
-  // neighbour-list sizes, turned into start offsets.
+  // Neighbour lists: count, then one walk of the slots in first-insertion
+  // order, so every list keeps the order its keys arrived in.
   for (const QuboTerm& term : slots_) {
-    ++model.row_start_[term.i + 1];
     ++model.neighbor_start_[term.i + 1];
     ++model.neighbor_start_[term.j + 1];
   }
   for (int i = 0; i < n; ++i) {
-    model.row_start_[i + 1] += model.row_start_[i];
     model.neighbor_start_[i + 1] += model.neighbor_start_[i];
   }
-
-  // One walk of the slots in first-insertion order fills both arrays, so
-  // every neighbour list keeps the order its keys arrived in.
-  model.terms_.resize(slots_.size());
   model.neighbors_.resize(2 * slots_.size());
-  std::vector<int> row_fill(model.row_start_.begin(),
-                            model.row_start_.end() - 1);
-  std::vector<int> neighbor_fill(model.neighbor_start_.begin(),
-                                 model.neighbor_start_.end() - 1);
+  std::vector<int> fill(model.neighbor_start_.begin(),
+                        model.neighbor_start_.end() - 1);
   for (const QuboTerm& term : slots_) {
-    model.terms_[row_fill[term.i]++] = term;
-    model.neighbors_[neighbor_fill[term.i]++] = {term.j, term.weight};
-    model.neighbors_[neighbor_fill[term.j]++] = {term.i, term.weight};
+    model.neighbors_[fill[term.i]++] = {term.j, term.weight};
+    model.neighbors_[fill[term.j]++] = {term.i, term.weight};
   }
-  // Keys are distinct, so sorting each row on j gives ascending (i, j).
-  for (int i = 0; i < n; ++i) {
-    std::sort(model.terms_.begin() + model.row_start_[i],
-              model.terms_.begin() + model.row_start_[i + 1],
-              [](const QuboTerm& a, const QuboTerm& b) { return a.j < b.j; });
-  }
+
+  // The one sort of the distinct keys.
+  model.terms_ = std::move(slots_);
+  std::sort(model.terms_.begin(), model.terms_.end(),
+            [](const QuboTerm& a, const QuboTerm& b) {
+              return std::pair(a.i, a.j) < std::pair(b.i, b.j);
+            });
 
   *this = QuboBuilder(n);
   return model;

@@ -51,7 +51,7 @@ class QuboModel {
   double offset() const { return offset_; }
 
   double linear(int i) const;
-  /// Quadratic coefficient (0 when absent). O(log deg).
+  /// Quadratic coefficient (0 when absent). O(log #terms).
   double quadratic(int i, int j) const;
   /// All quadratic terms ever added (including any that folded to 0), i < j,
   /// in ascending (i, j) order.
@@ -85,9 +85,8 @@ class QuboModel {
   int num_variables_;
   double offset_ = 0;
   std::vector<double> linear_;
-  /// Ascending (i, j); row i is terms_[row_start_[i], row_start_[i + 1]).
+  /// Ascending (i, j).
   std::vector<QuboTerm> terms_;
-  std::vector<int> row_start_;
   /// Neighbors(i) is neighbors_[neighbor_start_[i], neighbor_start_[i + 1]).
   std::vector<std::pair<int, double>> neighbors_;
   std::vector<int> neighbor_start_;
@@ -100,8 +99,6 @@ class QuboModel {
 class QuboBuilder {
  public:
   explicit QuboBuilder(int num_variables);
-
-  int num_variables() const { return num_variables_; }
 
   void AddOffset(double value) { offset_ += value; }
   /// Accumulates a_i += weight.

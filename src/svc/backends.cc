@@ -214,21 +214,15 @@ class QmkpBackend : public Solver {
 };
 
 /// Builds the qaMKP QUBO under the execution's deadline and cancel token.
-/// A build the context stops comes back as kDeadlineExceeded.
+/// A build the context stops comes back as kDeadlineExceeded; the adapters
+/// turn that into an OK, not-completed outcome with an empty solution, so
+/// it counts as "stopped early", not as a backend failure to retry.
 Result<MkpQubo> BuildQubo(const SolveRequest& request,
                           const SolveContext& context) {
   MkpQuboOptions options;
   options.time_limit_seconds = context.budget_seconds;
   options.cancel = context.cancel;
   return BuildMkpQubo(request.graph, request.k, options);
-}
-
-/// The outcome of a backend the context stopped before it had a candidate:
-/// OK, not completed, empty solution (no failure tick, no retry).
-SolveOutcome StoppedBeforeAnyCandidate() {
-  SolveOutcome outcome;
-  outcome.completed = false;
-  return outcome;
 }
 
 /// Shared tail of the QUBO-based backends: build the qaMKP QUBO, run an
@@ -239,7 +233,7 @@ Result<SolveOutcome> RunQuboBackend(const SolveRequest& request,
                                     const Runner& runner) {
   Result<MkpQubo> built = BuildQubo(request, context);
   if (built.status().code() == StatusCode::kDeadlineExceeded) {
-    return StoppedBeforeAnyCandidate();
+    return SolveOutcome{.solution = {}, .completed = false};
   }
   QPLEX_ASSIGN_OR_RETURN(MkpQubo qubo, std::move(built));
   QPLEX_ASSIGN_OR_RETURN(AnnealResult result, runner(qubo));
@@ -367,7 +361,7 @@ class MilpBackend : public Solver {
                              const SolveContext& context) const override {
     Result<MkpQubo> built = BuildQubo(request, context);
     if (built.status().code() == StatusCode::kDeadlineExceeded) {
-      return StoppedBeforeAnyCandidate();
+      return SolveOutcome{.solution = {}, .completed = false};
     }
     QPLEX_ASSIGN_OR_RETURN(MkpQubo qubo, std::move(built));
     const LinearizedQubo linearized = LinearizeQubo(qubo.model);

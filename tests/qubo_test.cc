@@ -299,9 +299,9 @@ std::vector<Term> TermsOf(const QuboModel& model) {
 }
 
 /// Reference fold: a std::map keyed (min, max) plus per-variable neighbour
-/// lists that each duplicate updates by a linear scan. This is the store
-/// QuboModel used before its flat term store, kept here so the penalty
-/// expansion can be replayed into it and compared bit for bit.
+/// lists that each duplicate updates by a linear scan. Slow but plainly
+/// correct; the penalty expansion is replayed into it and QuboModel's flat
+/// store must match it bit for bit.
 class MapFoldQubo {
  public:
   explicit MapFoldQubo(int num_variables)

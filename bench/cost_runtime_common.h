@@ -102,7 +102,8 @@ inline int RunCostRuntimeFigure(const std::string& figure_name,
   // --- MILP: one deadline-bounded B&B run; trace is wall-clock. --------------
   const LinearizedQubo linearized = LinearizeQubo(qubo.model);
   MilpSolverOptions milp_options;
-  milp_options.time_limit_seconds = milp_budget_seconds;
+  const CancelToken milp_time_limit(Deadline::After(milp_budget_seconds));
+  milp_options.cancel = &milp_time_limit;
   milp_options.incumbent_heuristic =
       MakeQuboRoundingHeuristic(qubo.model, linearized);
   const MilpSolution milp =

@@ -106,7 +106,6 @@ int main() {
     options.num_workers = 1;
     options.enable_cache = false;
     options.retry.max_retries = 0;
-    options.enable_breakers = true;
     options.breaker.failure_threshold = 2;
     options.breaker.cooldown_consults = 4;
     svc::JobScheduler scheduler(&registry, options);

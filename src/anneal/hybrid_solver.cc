@@ -40,9 +40,6 @@ Result<AnnealResult> HybridSolver::Run(const QuboModel& model) const {
   }
   obs::TraceSpan span("anneal.hybrid");
   obs::ProgressHeartbeat heartbeat("anneal.hybrid");
-  const Deadline deadline = options_.time_limit_seconds > 0
-                                ? Deadline::After(options_.time_limit_seconds)
-                                : Deadline::Infinite();
   Stopwatch watch;
   AnnealResult result;
   Rng rng(options_.seed);
@@ -58,15 +55,9 @@ Result<AnnealResult> HybridSolver::Run(const QuboModel& model) const {
 
   while (result.modeled_micros < options_.min_runtime_micros &&
          result.shots < options_.max_restarts) {
-    if (StopRequested(deadline, options_.cancel)) {
+    if (StopRequested(options_.cancel)) {
       result.completed = false;
       break;
-    }
-    // Inner restarts inherit whatever wall-clock budget remains, so expiry is
-    // detected at SA sweep granularity rather than between restarts.
-    if (options_.time_limit_seconds > 0) {
-      sa_options.time_limit_seconds =
-          std::max(deadline.RemainingSeconds(), 1e-9);
     }
     sa_options.seed = rng.Next();
     SimulatedAnnealer annealer(sa_options);

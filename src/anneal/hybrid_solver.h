@@ -30,11 +30,9 @@ struct HybridSolverOptions {
   /// restarts, so locally we run at most this many and report the result at
   /// the contract time (modeled_micros is clamped up to the floor).
   int max_restarts = 64;
-  /// Wall-clock budget; <= 0 is unlimited. Threaded into every inner SA
-  /// restart, so expiry is detected at sweep granularity; the incumbent is
-  /// returned with `completed == false`.
-  double time_limit_seconds = 0;
-  /// Optional cooperative cancellation; polled with the deadline.
+  /// Optional stop token (cancellation and deadline); may be null. Shared
+  /// with every inner SA restart, so a stop is detected at sweep
+  /// granularity; the incumbent is returned with `completed == false`.
   const CancelToken* cancel = nullptr;
   std::uint64_t seed = 1;
   /// Observer callbacks, fired on the hybrid portfolio's own best-energy

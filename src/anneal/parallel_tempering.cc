@@ -25,9 +25,6 @@ Result<AnnealResult> ParallelTempering::Run(const QuboModel& model) const {
   obs::ProgressHeartbeat heartbeat("anneal.pt");
   const int n = model.num_variables();
   const int R = options_.num_replicas;
-  const Deadline deadline = options_.time_limit_seconds > 0
-                                ? Deadline::After(options_.time_limit_seconds)
-                                : Deadline::Infinite();
   Stopwatch watch;
   AnnealResult result;
   Rng rng(options_.seed);
@@ -55,7 +52,7 @@ Result<AnnealResult> ParallelTempering::Run(const QuboModel& model) const {
     // Metropolis sweeps per replica at its own temperature.
     for (int r = 0; r < R && result.completed; ++r) {
       for (int sweep = 0; sweep < options_.sweeps_per_round; ++sweep) {
-        if (StopRequested(deadline, options_.cancel)) {
+        if (StopRequested(options_.cancel)) {
           result.completed = false;
           break;
         }

@@ -22,10 +22,9 @@ struct ParallelTemperingOptions {
   int rounds = 64;
   /// Modeled micros one sweep accounts for (for the anytime trace).
   double micros_per_sweep = 1.0;
-  /// Wall-clock budget; <= 0 is unlimited. Checked every replica sweep; on
-  /// expiry the incumbent is returned with `completed == false`.
-  double time_limit_seconds = 0;
-  /// Optional cooperative cancellation; polled with the deadline.
+  /// Optional stop token (cancellation and deadline); may be null. Polled
+  /// every replica sweep; on a stop the incumbent is returned with
+  /// `completed == false`.
   const CancelToken* cancel = nullptr;
   std::uint64_t seed = 1;
   /// Observer callbacks (best-energy improvements); all optional.

@@ -46,9 +46,6 @@ Result<AnnealResult> PathIntegralAnnealer::Run(const QuboModel& model) const {
 
   obs::TraceSpan span("anneal.sqa");
   obs::ProgressHeartbeat heartbeat("anneal.sqa");
-  const Deadline deadline = options_.time_limit_seconds > 0
-                                ? Deadline::After(options_.time_limit_seconds)
-                                : Deadline::Infinite();
   Stopwatch watch;
   AnnealResult result;
   Rng rng(options_.seed);
@@ -66,7 +63,7 @@ Result<AnnealResult> PathIntegralAnnealer::Run(const QuboModel& model) const {
     }
 
     for (int sweep = 0; sweep < sweeps_per_shot; ++sweep) {
-      if (StopRequested(deadline, options_.cancel)) {
+      if (StopRequested(options_.cancel)) {
         result.completed = false;
         break;
       }

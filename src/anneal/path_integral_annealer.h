@@ -35,10 +35,9 @@ struct PathIntegralAnnealerOptions {
   /// huge value to disable the effect.
   double saturation_micros = 2.0;
   int shots = 100;
-  /// Wall-clock budget; <= 0 is unlimited. Checked every Trotter sweep; on
-  /// expiry the incumbent is returned with `completed == false`.
-  double time_limit_seconds = 0;
-  /// Optional cooperative cancellation; polled with the deadline.
+  /// Optional stop token (cancellation and deadline); may be null. Polled
+  /// every Trotter sweep; on a stop the incumbent is returned with
+  /// `completed == false`.
   const CancelToken* cancel = nullptr;
   std::uint64_t seed = 1;
   /// Observer callbacks (best-energy improvements); all optional.

@@ -20,9 +20,6 @@ Result<AnnealResult> SimulatedAnnealer::Run(const QuboModel& model) const {
   obs::TraceSpan span("anneal.sa");
   obs::ProgressHeartbeat heartbeat("anneal.sa");
   const int n = model.num_variables();
-  const Deadline deadline = options_.time_limit_seconds > 0
-                                ? Deadline::After(options_.time_limit_seconds)
-                                : Deadline::Infinite();
   Stopwatch watch;
   AnnealResult result;
   Rng rng(options_.seed);
@@ -44,7 +41,7 @@ Result<AnnealResult> SimulatedAnnealer::Run(const QuboModel& model) const {
   for (int shot = 0; shot < options_.shots && result.completed; ++shot) {
     QuboSample sample = anneal_internal::RandomSample(n, rng);
     for (int sweep = 0; sweep < options_.sweeps_per_shot; ++sweep) {
-      if (StopRequested(deadline, options_.cancel)) {
+      if (StopRequested(options_.cancel)) {
         result.completed = false;
         break;
       }

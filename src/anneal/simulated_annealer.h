@@ -21,12 +21,9 @@ struct SimulatedAnnealerOptions {
   double beta_final = 5.0;
   /// Modeled time one sweep costs, for the anytime curves (micros).
   double micros_per_sweep = 1.0;
-  /// Wall-clock budget; <= 0 is unlimited. Checked every sweep, so a 1 ms
-  /// deadline stops the run promptly; the incumbent is returned with
-  /// `AnnealResult::completed == false`.
-  double time_limit_seconds = 0;
-  /// Optional cooperative cancellation (service portfolio races); polled
-  /// together with the deadline. May be null.
+  /// Optional stop token (cancellation and deadline); may be null. Polled
+  /// every sweep, so a 1 ms deadline stops the run promptly; the incumbent
+  /// is returned with `AnnealResult::completed == false`.
   const CancelToken* cancel = nullptr;
   std::uint64_t seed = 1;
   /// Observer callbacks (best-energy improvements); all optional.

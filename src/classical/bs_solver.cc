@@ -89,12 +89,8 @@ class BranchSearcher {
   using Set = typename Engine::Set;
 
   BranchSearcher(const Engine& engine, int k, const BsSolverOptions& options,
-                 BsSolverStats& stats, Deadline deadline)
-      : engine_(engine),
-        k_(k),
-        options_(options),
-        stats_(stats),
-        deadline_(deadline) {}
+                 BsSolverStats& stats)
+      : engine_(engine), k_(k), options_(options), stats_(stats) {}
 
   MkpSolution best;
   std::function<void(const MkpSolution&, const BsSolverStats&)>
@@ -108,7 +104,7 @@ class BranchSearcher {
     }
     ++stats_.branch_nodes;
     if ((stats_.branch_nodes & 0x3FF) == 0) {
-      if (StopRequested(deadline_, options_.cancel)) {
+      if (StopRequested(options_.cancel)) {
         aborted_ = true;
         return;
       }
@@ -185,7 +181,6 @@ class BranchSearcher {
   int k_;
   const BsSolverOptions& options_;
   BsSolverStats& stats_;
-  Deadline deadline_;
   bool aborted_ = false;
   obs::ProgressHeartbeat heartbeat_{"bs"};
 };
@@ -193,11 +188,11 @@ class BranchSearcher {
 template <typename Engine>
 BranchOutcome RunBranchSearch(
     const Graph& search_graph, int k, int seed_size,
-    const BsSolverOptions& options, BsSolverStats& stats, Deadline deadline,
+    const BsSolverOptions& options, BsSolverStats& stats,
     std::function<void(const MkpSolution&, const BsSolverStats&)>
         report_incumbent) {
   Engine engine(search_graph);
-  BranchSearcher<Engine> searcher(engine, k, options, stats, deadline);
+  BranchSearcher<Engine> searcher(engine, k, options, stats);
   // Seed the bound with the incumbent size (solution members live in
   // different id spaces, so only the size transfers).
   searcher.best.size = seed_size;
@@ -250,9 +245,6 @@ Result<MkpSolution> BsSolver::Solve(const Graph& graph, int k) {
     }
   }
 
-  const Deadline deadline = options_.time_limit_seconds > 0
-                                ? Deadline::After(options_.time_limit_seconds)
-                                : Deadline::Infinite();
   const std::vector<Vertex>* new_to_old =
       options_.use_reduction ? &reduction.new_to_old : nullptr;
   std::function<void(const MkpSolution&, const BsSolverStats&)> report;
@@ -269,10 +261,10 @@ Result<MkpSolution> BsSolver::Solve(const Graph& graph, int k) {
     obs::TraceSpan branch_span("bs.branch");
     outcome = search_graph->num_vertices() <= 64
                   ? RunBranchSearch<MaskEngine>(*search_graph, k, best.size,
-                                                options_, stats_, deadline,
+                                                options_, stats_,
                                                 std::move(report))
                   : RunBranchSearch<WideEngine>(*search_graph, k, best.size,
-                                                options_, stats_, deadline,
+                                                options_, stats_,
                                                 std::move(report));
   }
 
@@ -293,7 +285,7 @@ Result<MkpSolution> BsSolver::Solve(const Graph& graph, int k) {
   }
 
   if (outcome.aborted) {
-    // Deadline fired; report the incumbent through stats_ and a soft error.
+    // Stop token fired; report the incumbent through stats_ and a soft error.
     return best;
   }
   if (options_.on_bound) {

@@ -18,7 +18,7 @@ struct BsSolverStats {
   std::int64_t prunes_bound = 0;
   std::int64_t prunes_infeasible = 0;
   double elapsed_seconds = 0;
-  bool completed = true;  ///< false when the deadline fired first
+  bool completed = true;  ///< false when the stop token fired first
 };
 
 /// Options for the branch-and-search baseline.
@@ -28,12 +28,11 @@ struct BsSolverOptions {
   bool use_reduction = true;
   /// Use the degree-support upper bound min_{u in P}(deg_P(u)+deg_C(u))+k.
   bool use_support_bound = true;
-  /// Wall-clock budget; the incumbent so far is returned with
-  /// `stats().completed == false` if it expires (checked every ~1k branch
-  /// nodes, so expiry is detected within milliseconds).
-  double time_limit_seconds = 0;  // <= 0 means unlimited
-  /// Optional cooperative cancellation (service portfolio races); polled
-  /// together with the deadline. May be null.
+  /// Optional stop token (cancellation and deadline); may be null. Polled
+  /// every ~1k branch nodes, so a stop is detected within milliseconds; the
+  /// incumbent so far is returned with `stats().completed == false`. The
+  /// greedy and reduction phases before the search count against the
+  /// token's deadline too.
   const CancelToken* cancel = nullptr;
   /// Invoked whenever the incumbent improves (progressive reporting). The
   /// stats argument carries the deterministic work spent so far (branch

@@ -35,15 +35,11 @@ Result<MkpSolution> SolveMkpByEnumeration(const Graph& graph, int k,
     return best;
   }
   obs::TraceSpan span("exact.enumerate");
-  const Deadline deadline = control.time_limit_seconds > 0
-                                ? Deadline::After(control.time_limit_seconds)
-                                : Deadline::Infinite();
   const auto adjacency = AdjacencyMasks(graph);
   const std::uint64_t space = std::uint64_t{1} << n;
   std::uint64_t scanned = space;
   for (std::uint64_t mask = 0; mask < space; ++mask) {
-    if ((mask & 0xFFF) == 0 && mask != 0 &&
-        StopRequested(deadline, control.cancel)) {
+    if ((mask & 0xFFF) == 0 && mask != 0 && StopRequested(control.cancel)) {
       if (control.completed != nullptr) {
         *control.completed = false;
       }
@@ -82,16 +78,12 @@ Result<std::int64_t> CountKPlexesOfSize(const Graph& graph, int k,
     *control.completed = true;
   }
   obs::TraceSpan span("exact.count");
-  const Deadline deadline = control.time_limit_seconds > 0
-                                ? Deadline::After(control.time_limit_seconds)
-                                : Deadline::Infinite();
   const auto adjacency = AdjacencyMasks(graph);
   const std::uint64_t space = std::uint64_t{1} << n;
   std::uint64_t scanned = space;
   std::int64_t count = 0;
   for (std::uint64_t mask = 0; mask < space; ++mask) {
-    if ((mask & 0xFFF) == 0 && mask != 0 &&
-        StopRequested(deadline, control.cancel)) {
+    if ((mask & 0xFFF) == 0 && mask != 0 && StopRequested(control.cancel)) {
       if (control.completed != nullptr) {
         *control.completed = false;
       }

@@ -23,10 +23,10 @@ struct MkpSolution {
 void FillSolutionMask(MkpSolution& solution);
 
 /// Optional interruption controls for the enumeration scan. The scan polls
-/// every few thousand masks; when interrupted it returns the best subset seen
-/// so far (NOT a verified optimum) and sets `*completed` to false.
+/// `cancel` (cancellation and deadline; may be null) every 4096 masks; when
+/// stopped it returns the best subset seen so far (NOT a verified optimum)
+/// and sets `*completed` to false.
 struct EnumerationControl {
-  double time_limit_seconds = 0;  ///< <= 0: unlimited
   const CancelToken* cancel = nullptr;
   bool* completed = nullptr;  ///< written when non-null
   /// Invoked on every strict incumbent improvement with the number of masks

@@ -126,12 +126,7 @@ MkpSolution RunGrasp(const Graph& graph, int k, const GraspOptions& options,
                      GraspStats& stats) {
   Engine engine(graph);
   Rng rng(options.seed);
-  const Deadline deadline = options.time_limit_seconds > 0
-                                ? Deadline::After(options.time_limit_seconds)
-                                : Deadline::Infinite();
-  const StopFn stop = [&options, &deadline] {
-    return StopRequested(deadline, options.cancel);
-  };
+  const StopFn stop = [&options] { return StopRequested(options.cancel); };
   MkpSolution best;
   typename Engine::Set best_set = engine.Empty();
   for (int iteration = 0; iteration < options.iterations; ++iteration) {

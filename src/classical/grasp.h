@@ -25,12 +25,10 @@ struct GraspOptions {
   int iterations = 64;
   /// Candidate-list greediness: 0 = pure greedy, 1 = uniform random.
   double alpha = 0.3;
-  /// Wall-clock budget; <= 0 is unlimited. Checked inside the construction
-  /// and local-search loops (not just between iterations), so a millisecond
-  /// deadline stops the run promptly; the incumbent is returned with
-  /// `stats().completed == false`.
-  double time_limit_seconds = 0;
-  /// Optional cooperative cancellation; polled with the deadline.
+  /// Optional stop token (cancellation and deadline); may be null. Polled
+  /// inside the construction and local-search loops (not just between
+  /// iterations), so a millisecond deadline stops the run promptly; the
+  /// incumbent is returned with `stats().completed == false`.
   const CancelToken* cancel = nullptr;
   std::uint64_t seed = 1;
   /// Invoked on every strict best-plex improvement with the 1-based restart

@@ -32,8 +32,9 @@ class Stopwatch {
   Clock::time_point start_;
 };
 
-/// A soft deadline: solvers poll `Expired()` between units of work. A
-/// non-positive budget means "no deadline".
+/// A soft deadline, fixed when created; a CancelToken carries one so solvers
+/// see it through StopRequested(). A non-positive budget means "no
+/// deadline".
 class Deadline {
  public:
   /// Creates a deadline `budget_seconds` from now.

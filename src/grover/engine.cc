@@ -85,9 +85,14 @@ void GroverSimulation::Run(int count) {
 
 VerifiedAttempts GroverSimulation::RunAttempts(
     Rng& rng, int budget, const std::function<int()>& next_iterations,
-    const std::function<bool(std::uint64_t)>& verify) {
+    const std::function<bool(std::uint64_t)>& verify,
+    const std::function<bool()>& stop) {
   VerifiedAttempts run;
   while (run.attempts < budget) {
+    if (stop && stop()) {
+      run.stopped = true;
+      break;
+    }
     const int iterations = next_iterations();
     Reset();
     Run(iterations);

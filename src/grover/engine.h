@@ -37,6 +37,8 @@ struct VerifiedAttempts {
   int iterations = 0;
   /// Attempts used.
   int attempts = 0;
+  /// Whether the `stop` predicate ended the run before an attempt.
+  bool stopped = false;
   /// Oracle invocations across all attempts (iterations summed).
   std::int64_t oracle_calls = 0;
 };
@@ -83,10 +85,13 @@ class GroverSimulation {
   /// `next_iterations` runs before each attempt's measurement, so a schedule
   /// that draws its iteration count from `rng` keeps its draws interleaved
   /// with the measurements. Afterwards the simulation holds the last
-  /// attempt's state, so SuccessProbability() is that attempt's.
+  /// attempt's state, so SuccessProbability() is that attempt's. An optional
+  /// `stop` predicate is asked once before each attempt; when it answers
+  /// true the run ends there with `stopped` set.
   VerifiedAttempts RunAttempts(
       Rng& rng, int budget, const std::function<int()>& next_iterations,
-      const std::function<bool(std::uint64_t)>& verify);
+      const std::function<bool(std::uint64_t)>& verify,
+      const std::function<bool()>& stop = nullptr);
 
   /// Draws `shots` measurement outcomes; returns counts per basis state.
   std::vector<int> Sample(Rng& rng, int shots) const {

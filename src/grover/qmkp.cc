@@ -37,6 +37,10 @@ Result<QmkpResult> RunQmkp(const Graph& graph, int k,
   int high = n;
   int probe_index = 0;
   while (low <= high) {
+    if (StopRequested(options.cancel)) {
+      result.completed = false;
+      break;
+    }
     const int mid = low + (high - low) / 2;
     threshold_trajectory.Append(mid);
     // Decorrelate the probes' measurement randomness.
@@ -62,6 +66,11 @@ Result<QmkpResult> RunQmkp(const Graph& graph, int k,
     registry.GetCounter("qmkp.probes").Increment();
     registry.GetCounter("qmkp.oracle_calls").Add(probe.oracle_calls);
     registry.GetCounter("qmkp.gate_cost").Add(probe.gate_cost);
+    if (!probe_result.completed) {
+      // Stopped mid-probe: no verdict on this threshold, keep the incumbent.
+      result.completed = false;
+      break;
+    }
 
     if (probe_result.found) {
       registry.GetCounter("qmkp.probes_feasible").Increment();

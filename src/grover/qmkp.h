@@ -23,6 +23,9 @@ struct QmkpProbe {
 
 /// Outcome of qMKP (Algorithm 3): binary search over T driving qTKP.
 struct QmkpResult {
+  /// False when the stop token ended the binary search early; `best_plex`
+  /// is then the incumbent at that point.
+  bool completed = true;
   /// The best (largest) verified k-plex found.
   std::uint64_t best_mask = 0;
   VertexList best_plex;

@@ -160,7 +160,9 @@ Result<QtkpResult> RunQtkp(const Graph& graph, int k, int threshold,
       rng, result.attempt_budget, next_iterations,
       [&](std::uint64_t sample) {
         return IsPlexOfSize(adjacency, k, threshold, sample);
-      });
+      },
+      [&options] { return StopRequested(options.cancel); });
+  result.completed = !run.stopped;
   result.attempts = run.attempts;
   result.oracle_calls = run.oracle_calls;
   result.gate_cost =

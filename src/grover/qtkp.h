@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/cancel.h"
 #include "common/status.h"
 #include "graph/graph.h"
 #include "oracle/mkp_oracle.h"
@@ -42,6 +43,10 @@ struct QtkpOptions {
   /// measurement CDF). Affects wall-clock only: amplitudes, measurements and
   /// every counter are bit-identical for any thread count.
   int threads = 1;
+  /// Optional stop token (cancellation and deadline); may be null. qTKP
+  /// polls it once per Grover attempt, qMKP also once per binary-search
+  /// probe; a stopped run returns its incumbent with `completed == false`.
+  const CancelToken* cancel = nullptr;
   std::uint64_t seed = 0x9b1ec5d1ce4e5b9ULL;
 };
 
@@ -49,6 +54,9 @@ struct QtkpOptions {
 struct QtkpResult {
   /// Whether a verified k-plex of size >= T was measured.
   bool found = false;
+  /// False when the stop token ended the search before an attempt; a
+  /// stopped search that found nothing says nothing about the threshold.
+  bool completed = true;
   /// The measured subset (only meaningful when found).
   std::uint64_t mask = 0;
   VertexList plex;

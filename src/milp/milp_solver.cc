@@ -23,9 +23,6 @@ Result<MilpSolution> MilpSolver::Solve(const MilpProblem& problem) const {
   }
 
   Stopwatch watch;
-  const Deadline deadline = options_.time_limit_seconds > 0
-                                ? Deadline::After(options_.time_limit_seconds)
-                                : Deadline::Infinite();
 
   MilpSolution solution;
   double incumbent = 1e300;
@@ -60,7 +57,7 @@ Result<MilpSolution> MilpSolver::Solve(const MilpProblem& problem) const {
   stack.push_back(Node{});
 
   while (!stack.empty()) {
-    if (StopRequested(deadline, options_.cancel) ||
+    if (StopRequested(options_.cancel) ||
         (options_.max_nodes > 0 && solution.nodes >= options_.max_nodes)) {
       solution.optimal = false;
       solution.seconds = watch.ElapsedSeconds();
@@ -93,11 +90,8 @@ Result<MilpSolution> MilpSolver::Solve(const MilpProblem& problem) const {
       }
     }
 
-    QPLEX_ASSIGN_OR_RETURN(
-        LpSolution lp_solution,
-        SolveLp(lp, options_.time_limit_seconds > 0
-                        ? deadline.RemainingSeconds()
-                        : 0));
+    QPLEX_ASSIGN_OR_RETURN(LpSolution lp_solution,
+                           SolveLp(lp, options_.cancel));
     solution.lp_pivots += lp_solution.pivots;
     if (lp_solution.status == LpStatus::kTimeLimit) {
       solution.optimal = false;

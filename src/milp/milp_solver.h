@@ -27,7 +27,7 @@ struct MilpTracePoint {
 
 struct MilpSolution {
   bool feasible = false;
-  /// True when optimality was proven before the deadline.
+  /// True when optimality was proven before the stop token fired.
   bool optimal = false;
   double objective = 0;
   std::vector<double> x;
@@ -38,10 +38,10 @@ struct MilpSolution {
 };
 
 struct MilpSolverOptions {
-  double time_limit_seconds = 0;  ///< <= 0: unlimited
-  std::int64_t max_nodes = 0;     ///< <= 0: unlimited
-  /// Optional cooperative cancellation; polled with the deadline at every
-  /// branch-and-bound node. May be null.
+  std::int64_t max_nodes = 0;  ///< <= 0: unlimited
+  /// Optional stop token (cancellation and deadline); may be null. Polled at
+  /// every branch-and-bound node and every 16 simplex pivots of a node LP;
+  /// on a stop the incumbent is returned with `optimal == false`.
   const CancelToken* cancel = nullptr;
   /// Integrality tolerance for classifying LP values.
   double integrality_tolerance = 1e-6;

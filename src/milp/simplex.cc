@@ -4,7 +4,7 @@
 #include <cmath>
 #include <limits>
 
-#include "common/stopwatch.h"
+#include "common/cancel.h"
 
 namespace qplex {
 namespace {
@@ -52,11 +52,11 @@ class Tableau {
     basis_[pivot_row] = pivot_col;
   }
 
-  /// Runs simplex iterations until optimal or unbounded; checks the deadline
-  /// every few pivots. `allowed` marks columns permitted to enter the basis.
+  /// Runs simplex iterations until optimal or unbounded; polls `cancel` every
+  /// 16 pivots. `allowed` marks columns permitted to enter the basis.
   enum class OptimizeOutcome { kOptimal, kUnbounded, kTimeLimit };
   OptimizeOutcome Optimize(const std::vector<bool>& allowed, int* pivots,
-                           const Deadline& deadline) {
+                           const CancelToken* cancel) {
     const int bland_threshold = 20 * (rows_ + cols_);
     for (;;) {
       // Pricing.
@@ -80,7 +80,7 @@ class Tableau {
       if (entering < 0) {
         return OptimizeOutcome::kOptimal;
       }
-      if ((*pivots & 0xF) == 0 && deadline.Expired()) {
+      if ((*pivots & 0xF) == 0 && StopRequested(cancel)) {
         return OptimizeOutcome::kTimeLimit;
       }
       // Ratio test (smallest index tie-break keeps Bland valid).
@@ -125,10 +125,7 @@ void LpProblem::AddRowGe(std::vector<std::pair<int, double>> terms,
 }
 
 Result<LpSolution> SolveLp(const LpProblem& problem,
-                           double time_limit_seconds) {
-  const Deadline deadline = time_limit_seconds > 0
-                                ? Deadline::After(time_limit_seconds)
-                                : Deadline::Infinite();
+                           const CancelToken* cancel) {
   const int n = problem.num_vars;
   if (static_cast<int>(problem.objective.size()) != n) {
     return Status::InvalidArgument("objective arity mismatch");
@@ -199,7 +196,7 @@ Result<LpSolution> SolveLp(const LpProblem& problem,
     }
     std::vector<bool> allowed(total_cols, true);
     allowed[rhs_col] = false;
-    switch (tableau.Optimize(allowed, &pivots, deadline)) {
+    switch (tableau.Optimize(allowed, &pivots, cancel)) {
       case Tableau::OptimizeOutcome::kOptimal:
         break;
       case Tableau::OptimizeOutcome::kUnbounded:
@@ -256,7 +253,7 @@ Result<LpSolution> SolveLp(const LpProblem& problem,
   for (int col : artificial_cols) {
     allowed[col] = false;  // artificials may never re-enter
   }
-  switch (tableau.Optimize(allowed, &pivots, deadline)) {
+  switch (tableau.Optimize(allowed, &pivots, cancel)) {
     case Tableau::OptimizeOutcome::kOptimal:
       break;
     case Tableau::OptimizeOutcome::kUnbounded:

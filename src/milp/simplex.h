@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "common/cancel.h"
 #include "common/status.h"
 
 namespace qplex {
@@ -43,10 +44,11 @@ struct LpSolution {
 
 /// Dense two-phase primal simplex with Bland's anti-cycling rule. Intended
 /// for the moderate LP sizes produced by the McCormick linearization of
-/// qaMKP QUBOs; no scaling/presolve. A non-positive `time_limit_seconds`
-/// means unlimited; on expiry the solve aborts with LpStatus::kTimeLimit.
+/// qaMKP QUBOs; no scaling/presolve. Polls `cancel` (cancellation and
+/// deadline; may be null) every 16 pivots; on a stop the solve aborts with
+/// LpStatus::kTimeLimit.
 Result<LpSolution> SolveLp(const LpProblem& problem,
-                           double time_limit_seconds = 0);
+                           const CancelToken* cancel = nullptr);
 
 }  // namespace qplex
 

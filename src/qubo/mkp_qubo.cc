@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 
-#include "common/stopwatch.h"
 #include "graph/kplex.h"
 
 namespace qplex {
@@ -189,11 +188,8 @@ Result<MkpQubo> BuildMkpQubo(const Graph& graph, int k,
   //                          - M_v (1 - x_v))^2
   // expanded as R * (sum_t c_t z_t + constant)^2 over binary z_t.
   const double R = options.penalty;
-  const Deadline deadline = options.time_limit_seconds > 0
-                                ? Deadline::After(options.time_limit_seconds)
-                                : Deadline::Infinite();
   for (Vertex v = 0; v < n; ++v) {
-    if (StopRequested(deadline, options.cancel)) {
+    if (StopRequested(options.cancel)) {
       return Status::DeadlineExceeded(
           "qaMKP QUBO build stopped early (deadline or cancellation)");
     }

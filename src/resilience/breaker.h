@@ -28,8 +28,9 @@ std::string_view BreakerStateName(BreakerState state);
 
 struct BreakerOptions {
   /// Consecutive counted failures that trip a closed breaker open.
-  /// <= 0 disables the breaker entirely (Consult always proceeds).
-  int failure_threshold = 3;
+  /// <= 0 (the default) disables the breaker entirely: Consult always
+  /// proceeds, and the scheduler builds no breakers at all.
+  int failure_threshold = 0;
 
   /// Deterministic backoff, measured in Consult() calls rather than wall
   /// time: after opening, the breaker short-circuits the next N-1

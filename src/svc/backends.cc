@@ -3,9 +3,9 @@
 // constructed inside Solve(), so one registered instance can serve many
 // scheduler workers concurrently.
 //
-// Deadline semantics: adapters translate the scheduler's remaining budget
-// into the backend's native time-limit knob and thread the shared
-// CancelToken through, then report `completed = false` when the backend
+// Deadline semantics: the job deadline rides in `context.cancel`, so an
+// adapter only threads that one token into its backend (no solver takes a
+// time limit of its own) and reports `completed = false` when the backend
 // stopped early. Mapping incompletion to a kDeadlineExceeded *status* is the
 // scheduler's job, not the adapters'.
 
@@ -51,7 +51,6 @@ class BsBackend : public Solver {
   Result<SolveOutcome> Solve(const SolveRequest& request,
                              const SolveContext& context) const override {
     BsSolverOptions options;
-    options.time_limit_seconds = context.budget_seconds;
     options.cancel = context.cancel;
     QPLEX_ASSIGN_OR_RETURN(const int use_reduction,
                            OptionInt(request, "use_reduction", 1));
@@ -86,7 +85,6 @@ class EnumBackend : public Solver {
                              const SolveContext& context) const override {
     bool completed = true;
     EnumerationControl control;
-    control.time_limit_seconds = context.budget_seconds;
     control.cancel = context.cancel;
     control.completed = &completed;
     obs::IncumbentReporter reporter(name());
@@ -117,7 +115,6 @@ class GraspBackend : public Solver {
     QPLEX_ASSIGN_OR_RETURN(options.iterations,
                            OptionInt(request, "iterations", 64));
     QPLEX_ASSIGN_OR_RETURN(options.alpha, OptionDouble(request, "alpha", 0.3));
-    options.time_limit_seconds = context.budget_seconds;
     options.cancel = context.cancel;
     options.seed = request.seed;
     obs::IncumbentReporter reporter(name());
@@ -137,7 +134,8 @@ class GraspBackend : public Solver {
   }
 };
 
-Result<QtkpOptions> BuildQtkpOptions(const SolveRequest& request) {
+Result<QtkpOptions> BuildQtkpOptions(const SolveRequest& request,
+                                     const SolveContext& context) {
   QtkpOptions options;
   // The faithful circuit backend is exponential in gate count; past ~10
   // vertices the provably-identical predicate backend keeps jobs tractable.
@@ -156,6 +154,7 @@ Result<QtkpOptions> BuildQtkpOptions(const SolveRequest& request) {
   }
   QPLEX_ASSIGN_OR_RETURN(options.threads, OptionInt(request, "threads", 1));
   options.seed = request.seed;
+  options.cancel = context.cancel;
   return options;
 }
 
@@ -165,8 +164,9 @@ class QtkpBackend : public Solver {
   std::string_view name() const override { return "qtkp"; }
 
   Result<SolveOutcome> Solve(const SolveRequest& request,
-                             const SolveContext& /*context*/) const override {
-    QPLEX_ASSIGN_OR_RETURN(QtkpOptions options, BuildQtkpOptions(request));
+                             const SolveContext& context) const override {
+    QPLEX_ASSIGN_OR_RETURN(QtkpOptions options,
+                           BuildQtkpOptions(request, context));
     QPLEX_ASSIGN_OR_RETURN(const int threshold,
                            OptionInt(request, "threshold", request.k));
     obs::IncumbentReporter reporter(name());
@@ -174,6 +174,7 @@ class QtkpBackend : public Solver {
         QtkpResult result,
         RunQtkp(request.graph, request.k, threshold, options));
     SolveOutcome outcome;
+    outcome.completed = result.completed;
     if (result.found) {
       // qTKP is one-shot: a single verified measurement, so its anytime
       // timeline is the single point at the total oracle-call cost.
@@ -190,8 +191,9 @@ class QmkpBackend : public Solver {
   std::string_view name() const override { return "qmkp"; }
 
   Result<SolveOutcome> Solve(const SolveRequest& request,
-                             const SolveContext& /*context*/) const override {
-    QPLEX_ASSIGN_OR_RETURN(QtkpOptions options, BuildQtkpOptions(request));
+                             const SolveContext& context) const override {
+    QPLEX_ASSIGN_OR_RETURN(QtkpOptions options,
+                           BuildQtkpOptions(request, context));
     obs::IncumbentReporter reporter(name());
     QmkpProgressCallback on_progress;
     if (reporter.enabled()) {
@@ -207,20 +209,20 @@ class QmkpBackend : public Solver {
         RunQmkp(request.graph, request.k, options, on_progress));
     SolveOutcome outcome;
     outcome.solution = SolutionFromMembers(result.best_plex);
-    // The binary search always completes, but its answer carries the bounded
-    // Grover error probability — never report it as *proven* optimal.
+    outcome.completed = result.completed;
+    // Even a completed search's answer carries the bounded Grover error
+    // probability — never report it as *proven* optimal.
     return outcome;
   }
 };
 
-/// Builds the qaMKP QUBO under the execution's deadline and cancel token.
+/// Builds the qaMKP QUBO under the execution's stop token.
 /// A build the context stops comes back as kDeadlineExceeded; the adapters
 /// turn that into an OK, not-completed outcome with an empty solution, so
 /// it counts as "stopped early", not as a backend failure to retry.
 Result<MkpQubo> BuildQubo(const SolveRequest& request,
                           const SolveContext& context) {
   MkpQuboOptions options;
-  options.time_limit_seconds = context.budget_seconds;
   options.cancel = context.cancel;
   return BuildMkpQubo(request.graph, request.k, options);
 }
@@ -269,7 +271,6 @@ class SaBackend : public Solver {
     QPLEX_ASSIGN_OR_RETURN(options.shots, OptionInt(request, "shots", 100));
     QPLEX_ASSIGN_OR_RETURN(options.sweeps_per_shot,
                            OptionInt(request, "sweeps", 2));
-    options.time_limit_seconds = context.budget_seconds;
     options.cancel = context.cancel;
     options.seed = request.seed;
     obs::IncumbentReporter reporter(name());
@@ -292,7 +293,6 @@ class PtBackend : public Solver {
     QPLEX_ASSIGN_OR_RETURN(options.rounds, OptionInt(request, "rounds", 64));
     QPLEX_ASSIGN_OR_RETURN(options.num_replicas,
                            OptionInt(request, "replicas", 8));
-    options.time_limit_seconds = context.budget_seconds;
     options.cancel = context.cancel;
     options.seed = request.seed;
     obs::IncumbentReporter reporter(name());
@@ -315,7 +315,6 @@ class PiaBackend : public Solver {
     QPLEX_ASSIGN_OR_RETURN(options.shots, OptionInt(request, "shots", 100));
     QPLEX_ASSIGN_OR_RETURN(options.replicas,
                            OptionInt(request, "replicas", 16));
-    options.time_limit_seconds = context.budget_seconds;
     options.cancel = context.cancel;
     options.seed = request.seed;
     obs::IncumbentReporter reporter(name());
@@ -337,7 +336,6 @@ class HybridBackend : public Solver {
     HybridSolverOptions options;
     QPLEX_ASSIGN_OR_RETURN(options.max_restarts,
                            OptionInt(request, "restarts", 64));
-    options.time_limit_seconds = context.budget_seconds;
     options.cancel = context.cancel;
     options.seed = request.seed;
     obs::IncumbentReporter reporter(name());
@@ -367,12 +365,14 @@ class MilpBackend : public Solver {
     const LinearizedQubo linearized = LinearizeQubo(qubo.model);
     MilpSolverOptions options;
     // Unlike the anytime solvers, B&B without a limit can run for hours on a
-    // hard instance; an unbudgeted service job still gets a 60 s default.
-    QPLEX_ASSIGN_OR_RETURN(const double fallback_limit,
+    // hard instance, so the time_limit option (default 60 s) caps it; the
+    // cap's clock starts here, and an earlier job deadline or a cancel
+    // still reaches the search through the parent link.
+    QPLEX_ASSIGN_OR_RETURN(const double time_limit,
                            OptionDouble(request, "time_limit", 60));
-    options.time_limit_seconds =
-        context.budget_seconds > 0 ? context.budget_seconds : fallback_limit;
-    options.cancel = context.cancel;
+    CancelToken capped(Deadline::After(time_limit));
+    capped.LinkParent(context.cancel);
+    options.cancel = &capped;
     options.incumbent_heuristic =
         MakeQuboRoundingHeuristic(qubo.model, linearized);
     obs::IncumbentReporter reporter(name());

@@ -56,7 +56,7 @@ JobScheduler::JobScheduler(const SolverRegistry* registry,
     constexpr std::size_t kCacheCapacity = 256;
     cache_ = std::make_unique<InstanceCache>(kCacheCapacity);
   }
-  if (options_.enable_breakers && options_.breaker.failure_threshold > 0) {
+  if (options_.breaker.failure_threshold > 0) {
     breakers_ = std::make_unique<resilience::BreakerBoard>(options_.breaker);
   }
   if (options_.watchdog_stall_ms > 0) {
@@ -114,16 +114,9 @@ Result<JobId> JobScheduler::Enqueue(SolveRequest request,
       return Status::InvalidArgument("unknown backend: " + name);
     }
   }
-  auto job = std::make_shared<Job>();
+  auto job = std::make_shared<Job>(std::move(request));
   const std::size_t num_racers = backends.size();
-  job->request = std::move(request);
   job->backends = std::move(backends);
-  // The deadline clock starts at submission, so queue wait counts against
-  // the caller's budget — a job stuck behind a full queue times out rather
-  // than running arbitrarily late.
-  job->deadline = job->request.deadline_seconds > 0
-                      ? Deadline::After(job->request.deadline_seconds)
-                      : Deadline::Infinite();
   job->remaining = static_cast<int>(num_racers);
   job->retries_left.store(options_.retry.max_retries,
                           std::memory_order_relaxed);
@@ -517,7 +510,7 @@ SolveResponse JobScheduler::RunBackend(Job& job, const std::string& backend,
 Status JobScheduler::RunHop(Job& job, const std::string& backend, int attempt,
                             bool fallback, SolveResponse* response) {
   auto& registry = obs::MetricsRegistry::Global();
-  if (StopRequested(job.deadline, &job.cancel)) {
+  if (StopRequested(&job.cancel)) {
     registry.GetCounter("svc.deadline_hits").Increment();
     return Status::DeadlineExceeded("job budget exhausted before " +
                                     std::string(fallback ? "fallback "
@@ -630,23 +623,19 @@ Result<SolveOutcome> JobScheduler::GuardedSolve(Job& job,
     }
     if (resilience::FaultFires(resilience::FaultSite::kSolverStall)) {
       // Deterministic wedge: hold the execution without one heartbeat until
-      // the watchdog (or a job-level cancel / the deadline) releases it.
-      // Direct Cancelled() reads keep the poll counter frozen — in virtual
-      // time this backend has stopped making progress, however briefly the
-      // wall-clock wait lasts.
-      while (!attempt_cancel.Cancelled() && !job.deadline.Expired()) {
+      // the watchdog (or a job-level cancel / the deadline, both seen through
+      // the parent link) releases it. Direct Cancelled() reads keep the poll
+      // counter frozen — in virtual time this backend has stopped making
+      // progress, however briefly the wall-clock wait lasts.
+      while (!attempt_cancel.Cancelled()) {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
       SolveOutcome stalled;
       stalled.completed = false;
       return stalled;
     }
-    SolveContext context;
-    const double remaining = job.deadline.RemainingSeconds();
-    context.budget_seconds =
-        std::isinf(remaining) ? 0 : std::max(remaining, 1e-9);
-    context.cancel = &attempt_cancel;
-    return registry_->Get(backend)->Solve(job.request, context);
+    return registry_->Get(backend)->Solve(
+        job.request, SolveContext{.cancel = &attempt_cancel});
   } catch (const std::exception& e) {
     registry.GetCounter("svc.backend." + backend + ".exceptions").Increment();
     return Status::Internal("backend " + backend +
@@ -699,7 +688,7 @@ SolveResponse JobScheduler::RunFallbackChain(Job& job,
 
 bool JobScheduler::ConsumeRetryBudget(Job& job) {
   auto& registry = obs::MetricsRegistry::Global();
-  if (StopRequested(job.deadline, &job.cancel)) {
+  if (StopRequested(&job.cancel)) {
     return false;  // no budget left to retry into
   }
   if (job.retries_left.fetch_sub(1, std::memory_order_relaxed) <= 0) {
@@ -750,7 +739,7 @@ void JobScheduler::ScheduleRetry(const SubTask& task, int worker,
                     {"status", std::string(StatusCodeName(failure.code()))}});
   }
 
-  const double remaining_ms = job.deadline.RemainingSeconds() * 1e3;
+  const double remaining_ms = job.cancel.deadline().RemainingSeconds() * 1e3;
   const double sleep_ms =
       std::isinf(remaining_ms) ? delay_ms
                                : std::min(delay_ms, std::max(remaining_ms, 0.0));

@@ -60,15 +60,15 @@ struct JobSchedulerOptions {
   /// (admission-to-merge latency vs the objective) and the objective itself
   /// is published as the svc.slo.objective_ms gauge.
   double slo_latency_ms = 0;
-  /// Per-backend circuit breakers (DESIGN.md section 15). Off by default so
+  /// Per-backend circuit breakers (DESIGN.md section 15), on exactly when
+  /// `breaker.failure_threshold > 0`. Off by default (threshold 0) so
   /// library users and historical baselines keep exact semantics; the serve
-  /// front-ends enable them with --breaker-threshold. When enabled, every
+  /// front-ends arm them with --breaker-threshold. When armed, every
   /// backend execution consults its breaker first: an open breaker
   /// short-circuits the execution with kResourceExhausted, which the
   /// degradable-failure path turns into a fallback-chain walk — so a serially
   /// failing backend is skipped across requests, not rediscovered by each
   /// one.
-  bool enable_breakers = false;
   resilience::BreakerOptions breaker;
   /// Wedged-job watchdog stall budget in milliseconds; 0 disables. Progress
   /// is measured on a work axis — CancelToken heartbeat polls from the
@@ -110,7 +110,7 @@ using JobId = std::int64_t;
 /// kResourceExhausted walks the registry fallback chain (qtkp→bs, qmkp→bs,
 /// milp→grasp) and surfaces the degradation trail in the response.
 ///
-/// Health (DESIGN.md section 15): with enable_breakers, per-backend circuit
+/// Health (DESIGN.md section 15): with a breaker threshold, per-backend circuit
 /// breakers remember failures across jobs and short-circuit a serially
 /// failing backend straight onto its fallback chain; with a watchdog stall
 /// budget, a wedged execution (no CancelToken heartbeat) is cancelled
@@ -172,11 +172,19 @@ class JobScheduler {
 
  private:
   struct Job {
+    /// The token's deadline clock starts at construction — submission — so
+    /// queue wait counts against the caller's budget: a job stuck behind a
+    /// full queue times out rather than running arbitrarily late.
+    explicit Job(SolveRequest job_request)
+        : request(std::move(job_request)),
+          cancel(Deadline::After(request.deadline_seconds)) {}
+
     JobId id = 0;
     SolveRequest request;
     std::vector<std::string> backends;
-    Deadline deadline = Deadline::Infinite();
     Stopwatch submitted;
+    /// Job-level stop: the request deadline plus portfolio/caller Cancel().
+    /// Attempt tokens link under it.
     CancelToken cancel;
     /// Shared per-job retry budget, decremented as retries are scheduled.
     std::atomic<int> retries_left{0};

@@ -49,9 +49,9 @@ struct SolveOutcome {
 
 /// Execution envelope handed to a backend by the scheduler.
 struct SolveContext {
-  /// Remaining wall budget in seconds at dispatch time; <= 0 is unlimited.
-  double budget_seconds = 0;
-  /// Cooperative cancellation shared by every racer of a job; may be null.
+  /// The execution's stop token; may be null. The scheduler passes an
+  /// attempt-scoped token linked under the job token, which carries the job
+  /// deadline (stamped at submission) and the portfolio's Cancel().
   const CancelToken* cancel = nullptr;
 };
 
@@ -93,7 +93,7 @@ class Solver {
   virtual std::string_view name() const = 0;
 
   /// Runs the backend on `request.graph` / `request.k`. Honors
-  /// `context.budget_seconds` and `context.cancel` cooperatively: on expiry
+  /// `context.cancel` (cancellation and deadline) cooperatively: on a stop
   /// the adapter returns the incumbent with `completed == false` rather than
   /// an error. Hard failures (bad options, unsupported instance) return a
   /// non-OK status.

@@ -270,11 +270,26 @@ TEST(SimulatedAnnealerTest, TimeLimitStopsShotsEarly) {
   SimulatedAnnealerOptions options;
   options.shots = 1'000'000;
   options.sweeps_per_shot = 100;
-  options.time_limit_seconds = 1e-3;
+  const CancelToken time_limit(Deadline::After(1e-3));
+  options.cancel = &time_limit;
   const AnnealResult result =
       SimulatedAnnealer(options).Run(ToyModel()).value();
   EXPECT_FALSE(result.completed);
   EXPECT_LT(result.shots, options.shots);
+}
+
+TEST(SimulatedAnnealerTest, ExpiredTokenDeadlineStopsAtTheFirstSweepPoll) {
+  SimulatedAnnealerOptions options;
+  options.shots = 1'000'000;
+  const CancelToken expired(Deadline::After(1e-9));
+  while (!expired.deadline().Expired()) {
+  }
+  options.cancel = &expired;
+  const AnnealResult result =
+      SimulatedAnnealer(options).Run(ToyModel()).value();
+  EXPECT_FALSE(result.completed);
+  EXPECT_EQ(result.sweeps, 0);
+  EXPECT_EQ(expired.polls(), 1u);
 }
 
 TEST(ParallelTemperingTest, CancellationStopsRoundsEarly) {

@@ -240,7 +240,8 @@ TEST(BsSolverTest, DeadlineStopsSearchWithValidIncumbent) {
   // while still returning a feasible incumbent.
   const Graph graph = RandomGnm(64, 1000, 5).value();
   BsSolverOptions options;
-  options.time_limit_seconds = 1e-6;
+  const CancelToken time_limit(Deadline::After(1e-6));
+  options.cancel = &time_limit;
   BsSolver solver(options);
   const MkpSolution solution = solver.Solve(graph, 2).value();
   EXPECT_FALSE(solver.stats().completed);
@@ -266,7 +267,8 @@ TEST(GraspTest, TimeLimitStopsIterationsEarly) {
   const Graph graph = RandomGnm(30, 120, 4).value();
   GraspOptions options;
   options.iterations = 10'000'000;
-  options.time_limit_seconds = 1e-3;
+  const CancelToken time_limit(Deadline::After(1e-3));
+  options.cancel = &time_limit;
   GraspSolver solver(options);
   const MkpSolution solution = solver.Solve(graph, 2).value();
   EXPECT_FALSE(solver.stats().completed);

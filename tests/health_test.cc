@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -93,6 +94,46 @@ TEST(CancelTokenTest, LinkParentPropagatesCancellationDownward) {
   attempt2.Cancel();
   EXPECT_TRUE(attempt2.Cancelled());
   EXPECT_FALSE(job2.Cancelled());
+}
+
+TEST(CancelTokenTest, DeadlineIsSeenThroughLinkParent) {
+  CancelToken job(Deadline::After(1e-9));
+  CancelToken attempt;
+  EXPECT_FALSE(attempt.Cancelled());
+  attempt.LinkParent(&job);
+  while (!job.deadline().Expired()) {
+  }
+  // The job's expired deadline stops the attempt, whose own deadline is
+  // infinite and whose flag is clear.
+  EXPECT_TRUE(job.Cancelled());
+  EXPECT_TRUE(attempt.Cancelled());
+  EXPECT_TRUE(attempt.Poll());
+  EXPECT_TRUE(std::isinf(attempt.deadline().RemainingSeconds()));
+  // A tighter child deadline stops the child only.
+  CancelToken roomy(Deadline::After(3600));
+  CancelToken capped(Deadline::After(1e-9));
+  capped.LinkParent(&roomy);
+  while (!capped.deadline().Expired()) {
+  }
+  EXPECT_TRUE(capped.Cancelled());
+  EXPECT_FALSE(roomy.Cancelled());
+}
+
+TEST(CancelTokenTest, PollHeartbeatsEveryAncestor) {
+  // The watchdog reads the attempt token; a backend that polls a child of
+  // its own (milp's time_limit cap) must still heartbeat it.
+  CancelToken job;
+  CancelToken attempt;
+  attempt.LinkParent(&job);
+  CancelToken capped(Deadline::After(3600));
+  capped.LinkParent(&attempt);
+  EXPECT_FALSE(StopRequested(&capped));
+  EXPECT_FALSE(StopRequested(&capped));
+  EXPECT_FALSE(StopRequested(&attempt));
+  EXPECT_EQ(capped.polls(), 2u);
+  EXPECT_EQ(attempt.polls(), 3u);
+  EXPECT_EQ(job.polls(), 3u);
+  EXPECT_FALSE(StopRequested(nullptr));
 }
 
 // --- Failure taxonomy --------------------------------------------------------
@@ -386,7 +427,6 @@ JobSchedulerOptions HealthSchedulerOptions() {
   options.retry.max_retries = 0;  // isolate breaker behavior from retries
   options.retry.backoff_base_ms = 0.01;
   options.retry.backoff_cap_ms = 0.1;
-  options.enable_breakers = true;
   options.breaker.failure_threshold = 2;
   options.breaker.cooldown_consults = 1;  // next consult after opening probes
   return options;

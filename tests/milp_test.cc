@@ -75,6 +75,22 @@ TEST(SimplexTest, DegenerateProblemTerminates) {
   EXPECT_NEAR(solution.objective, -0.05, 1e-6);
 }
 
+TEST(SimplexTest, CancelledTokenStopsTheSolveWithTimeLimit) {
+  // The two-var problem above needs pivots; a cancelled token stops the
+  // solve at its first poll, before any pivot.
+  LpProblem problem;
+  problem.num_vars = 2;
+  problem.objective = {-1.0, -2.0};
+  problem.AddRowLe({{0, 1.0}, {1, 1.0}}, 4.0);
+  problem.upper = {3.0, 2.0};
+  CancelToken cancel;
+  cancel.Cancel();
+  const LpSolution solution = SolveLp(problem, &cancel).value();
+  EXPECT_EQ(solution.status, LpStatus::kTimeLimit);
+  EXPECT_EQ(solution.pivots, 0);
+  EXPECT_EQ(cancel.polls(), 1u);
+}
+
 TEST(SimplexTest, RejectsAritymismatch) {
   LpProblem problem;
   problem.num_vars = 2;

@@ -263,6 +263,19 @@ TEST(MkpQuboTest, PreCancelledTokenStopsTheBuildAtItsFirstPoll) {
   EXPECT_EQ(cancel.polls(), 1u);
 }
 
+TEST(MkpQuboTest, ExpiredTokenDeadlineStopsTheBuildAtItsFirstPoll) {
+  const CancelToken expired(Deadline::After(1e-9));
+  while (!expired.deadline().Expired()) {
+  }
+  MkpQuboOptions options;
+  options.cancel = &expired;
+  const Result<MkpQubo> built =
+      BuildMkpQubo(RandomGnm(20, 95, 1).value(), 2, options);
+  ASSERT_FALSE(built.ok());
+  EXPECT_EQ(built.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(expired.polls(), 1u);
+}
+
 TEST(MkpQuboDeathTest, RepairToPlexChecksSampleArity) {
   // A sample shorter than the variable count would be read out of bounds.
   const MkpQubo qubo = BuildMkpQubo(PaperExampleGraph(), 2).value();

@@ -33,6 +33,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "quantum/statevector.h"
+#include "qubo/mkp_qubo.h"
 #include "resilience/fault_injection.h"
 #include "resilience/retry.h"
 #include "svc/cache.h"
@@ -201,6 +202,8 @@ TEST(RegistryTest, MalformedOptionFailsTheJob) {
 TEST(RegistryTest, QuboBackendsStoppedInTheBuildReturnAnEmptyIncompleteOutcome) {
   // A build the context stops is not a failure: OK, not completed, no
   // solution, so the scheduler reports "stopped early" and never retries.
+  // qtkp and qmkp hold to the same contract: qtkp polls before its first
+  // Grover attempt, qmkp before its first binary-search probe.
   const SolverRegistry registry = MakeBuiltinRegistry();
   SolveRequest request;
   request.graph = TwoBlockGraph();
@@ -209,7 +212,8 @@ TEST(RegistryTest, QuboBackendsStoppedInTheBuildReturnAnEmptyIncompleteOutcome) 
   cancel.Cancel();
   SolveContext context;
   context.cancel = &cancel;
-  for (const char* backend : {"sa", "pt", "pia", "hybrid", "milp"}) {
+  for (const char* backend :
+       {"sa", "pt", "pia", "hybrid", "milp", "qtkp", "qmkp"}) {
     const std::uint64_t polls_before = cancel.polls();
     const Result<SolveOutcome> outcome =
         registry.Get(backend)->Solve(request, context);
@@ -217,7 +221,7 @@ TEST(RegistryTest, QuboBackendsStoppedInTheBuildReturnAnEmptyIncompleteOutcome) 
     EXPECT_FALSE(outcome.value().completed) << backend;
     EXPECT_EQ(outcome.value().solution.size, 0) << backend;
     EXPECT_TRUE(outcome.value().solution.members.empty()) << backend;
-    // The build's first poll saw the cancellation; nothing ran after it.
+    // The first poll saw the cancellation; nothing ran after it.
     EXPECT_EQ(cancel.polls() - polls_before, 1u) << backend;
   }
 }
@@ -310,6 +314,61 @@ TEST_F(SchedulerTest, MillisecondDeadlineReturnsDeadlineExceededPromptly) {
   const SolveResponse response = scheduler.Wait(id.value());
   EXPECT_EQ(response.status.code(), StatusCode::kDeadlineExceeded);
   // Generous CI bound: prompt means "milliseconds", not "after the scan".
+  EXPECT_LT(watch.ElapsedSeconds(), 2.0);
+}
+
+TEST_F(SchedulerTest, JobDeadlineCoversTheQuboBuildAndTheAnneal) {
+  // The deadline is stamped once, at submission, and the QUBO build and the
+  // anneal after it share it. A backend that restarted the remaining budget
+  // after its build would overrun by a whole build time; the bound is half
+  // a build measured here, so it scales with the build's speed.
+  const Graph graph = RandomGnm(150, 300, 5).value();
+  Stopwatch build_watch;
+  ASSERT_TRUE(BuildMkpQubo(graph, 2).ok());
+  const double build_seconds = build_watch.ElapsedSeconds();
+  const double deadline_seconds = std::max(0.1, 2 * build_seconds);
+
+  JobSchedulerOptions options;
+  options.num_workers = 1;
+  options.enable_cache = false;
+  JobScheduler scheduler(&registry_, options);
+  SolveRequest request;
+  request.graph = graph;
+  request.k = 2;
+  request.backend = "sa";
+  request.options["shots"] = "100000000";  // minutes if unbounded
+  request.deadline_seconds = deadline_seconds;
+  Stopwatch watch;
+  const Result<JobId> id = scheduler.Submit(std::move(request));
+  ASSERT_TRUE(id.ok()) << id.status();
+  const SolveResponse response = scheduler.Wait(id.value());
+  const double overrun_seconds = watch.ElapsedSeconds() - deadline_seconds;
+  EXPECT_EQ(response.status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_LT(overrun_seconds, build_seconds / 2)
+      << "build " << build_seconds * 1e3 << " ms, deadline "
+      << deadline_seconds * 1e3 << " ms";
+}
+
+TEST_F(SchedulerTest, MilpTimeLimitCapsTheSearchUnderALongerDeadline) {
+  // milp's time_limit option is a cap of its own: a 10 s job deadline does
+  // not lift a 50 ms cap, and the capped search ends not completed.
+  JobScheduler scheduler(&registry_);
+  SolveRequest request;
+  request.graph = RandomGnm(20, 100, 3).value();
+  request.k = 2;
+  request.backend = "milp";
+  request.deadline_seconds = 10;
+  request.options["time_limit"] = "0.05";
+  Stopwatch watch;
+  const Result<JobId> id = scheduler.Submit(std::move(request));
+  ASSERT_TRUE(id.ok()) << id.status();
+  const SolveResponse response = scheduler.Wait(id.value());
+  EXPECT_EQ(response.status.code(), StatusCode::kDeadlineExceeded)
+      << response.status;
+  EXPECT_NE(response.status.message().find("backend milp stopped early"),
+            std::string::npos)
+      << response.status;
+  EXPECT_GE(response.solution.size, 1);
   EXPECT_LT(watch.ElapsedSeconds(), 2.0);
 }
 

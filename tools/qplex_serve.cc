@@ -425,7 +425,6 @@ int Main(int argc, char** argv) {
   scheduler_options.enable_cache = options.cache;
   scheduler_options.retry.max_retries = options.max_retries;
   scheduler_options.slo_latency_ms = options.slo_ms;
-  scheduler_options.enable_breakers = options.breaker_threshold > 0;
   scheduler_options.breaker.failure_threshold = options.breaker_threshold;
   scheduler_options.breaker.cooldown_consults = options.breaker_cooldown;
   scheduler_options.watchdog_stall_ms = options.watchdog_stall_ms;

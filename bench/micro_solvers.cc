@@ -1,12 +1,14 @@
-// Microbenchmarks of the classical substrate: BS branch-and-bound, SA and
-// SQA sweeps, simplex solves, and QUBO construction.
+// Microbenchmarks of the classical substrate: BS branch-and-bound, k-plex
+// enumeration, SA and SQA sweeps, simplex solves, and QUBO construction.
 
 #include <benchmark/benchmark.h>
 
 #include "anneal/path_integral_annealer.h"
 #include "anneal/simulated_annealer.h"
 #include "classical/bs_solver.h"
+#include "classical/exact.h"
 #include "graph/generators.h"
+#include "graph/kplex.h"
 #include "milp/qubo_linearization.h"
 #include "milp/simplex.h"
 #include "qubo/mkp_qubo.h"
@@ -23,6 +25,42 @@ void BM_BsSolver(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BsSolver)->Arg(10)->Arg(14)->Arg(18);
+
+// The maximum at the exact_classical benchmark workload's shape: G(22, 88),
+// k = 2.
+void BM_EnumerateMaximumSparse(benchmark::State& state) {
+  const Graph graph = RandomGnm(22, 88, 7).value();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(SolveMkpByEnumeration(graph, 2).value().size);
+  }
+}
+BENCHMARK(BM_EnumerateMaximumSparse)->Unit(benchmark::kMicrosecond);
+
+// The dense end of the maximum: on K24 every subset is a k-plex.
+void BM_EnumerateMaximumComplete(benchmark::State& state) {
+  const Graph graph = CompleteGraph(24);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(SolveMkpByEnumeration(graph, 2).value().size);
+  }
+}
+BENCHMARK(BM_EnumerateMaximumComplete)->Unit(benchmark::kMicrosecond);
+
+// The count at T = 3 on G(20, p = 0.9), k = 2: output-sensitive, since the
+// walk visits each of the ~214k counted k-plexes.
+void BM_EnumerateCountDense(benchmark::State& state) {
+  const Graph graph = RandomGnp(20, 0.9, 7).value();
+  const auto adjacency = AdjacencyMasks(graph);
+  for (auto _ : state) {
+    std::int64_t count = 0;
+    KPlexWalk walk(adjacency, 2, nullptr);
+    walk.Run(3, [&count](std::uint64_t, int) {
+      ++count;
+      return 3;
+    });
+    benchmark::DoNotOptimize(count);
+  }
+}
+BENCHMARK(BM_EnumerateCountDense)->Unit(benchmark::kMillisecond);
 
 void BM_BuildMkpQubo(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

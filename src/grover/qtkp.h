@@ -17,8 +17,9 @@ enum class OracleBackend {
   /// bit-sliced: 64 basis states per word op, stopping at the oracle flip
   /// (faithful; what the experiments use at paper scale).
   kCircuit,
-  /// Evaluate the semantic k-plex predicate directly (identical results —
-  /// proven by tests — but much faster; used for wide parameter sweeps).
+  /// Enumerate the k-plexes of size >= T with the classical KPlexWalk
+  /// (identical results — proven by tests — but much faster; used for wide
+  /// parameter sweeps).
   kPredicate,
 };
 
@@ -44,8 +45,10 @@ struct QtkpOptions {
   /// every counter are bit-identical for any thread count.
   int threads = 1;
   /// Optional stop token (cancellation and deadline); may be null. qTKP
-  /// polls it once per Grover attempt, qMKP also once per binary-search
-  /// probe; a stopped run returns its incumbent with `completed == false`.
+  /// polls it before it builds its oracle, every 4096 tested subsets of the
+  /// predicate backend's walk and once per Grover attempt; qMKP also once
+  /// per binary-search probe. A stopped run returns its incumbent with
+  /// `completed == false`.
   const CancelToken* cancel = nullptr;
   std::uint64_t seed = 0x9b1ec5d1ce4e5b9ULL;
 };

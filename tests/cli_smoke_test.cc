@@ -121,7 +121,7 @@ TEST(CliSmokeTest, PinnedAnswersAndCountersPerAlgorithm) {
        R"({"bs.branch_nodes":1,"bs.prunes_bound":1,"bs.prunes_infeasible":0,)"
        R"("bs.reduction_removed_vertices":4,"bs.solves":1})"},
       {"enum", "size 4\nmembers 0 1 2 3\n",
-       R"({"exact.enumerations":1,"exact.masks_scanned":256})"},
+       R"({"exact.enumerations":1,"exact.masks_scanned":66})"},
       {"qmkp", "size 4\nmembers 4 5 6 7\n",
        R"({"grover.iterations":8,"grover.runs":7,"grover.simulations":3,)"
        R"("oracle.builds":3,"oracle.stage_cost.degree_compare":1086,)"

@@ -2,9 +2,9 @@
 
 #include <cmath>
 
-#include "classical/exact.h"
 #include "graph/instances.h"
 #include "grover/counting.h"
+#include "kplex_sweep.h"
 #include "oracle/mkp_oracle.h"
 
 namespace qplex {
@@ -101,7 +101,7 @@ TEST(CountingTest, CountsOracleSolutionsOnPaperExample) {
   const Graph graph = PaperExampleGraph();
   const MkpOracle oracle = MkpOracle::Build(graph, 2, 3).value();
   const auto marked = oracle.MarkedStates();
-  const std::int64_t truth = CountKPlexesOfSize(graph, 2, 3).value();
+  const std::int64_t truth = sweep::Count(graph, 2, 3);
   ASSERT_EQ(static_cast<std::int64_t>(marked.size()), truth);
 
   QuantumCountingOptions options;

@@ -9,6 +9,7 @@
 #include "grover/engine.h"
 #include "grover/qmkp.h"
 #include "grover/qtkp.h"
+#include "kplex_sweep.h"
 #include "quantum/statevector.h"
 
 namespace qplex {
@@ -129,7 +130,7 @@ TEST(QtkpTest, SolutionCountMatchesEnumeration) {
     for (int t = 2; t <= 6; ++t) {
       const QtkpResult result = RunQtkp(graph, k, t, options).value();
       EXPECT_EQ(result.num_solutions,
-                CountKPlexesOfSize(graph, k, t).value())
+                sweep::Count(graph, k, t))
           << "k=" << k << " T=" << t;
     }
   }

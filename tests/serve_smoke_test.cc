@@ -291,18 +291,19 @@ TEST(ServeSmokeTest, CacheOffForcesEveryJobToExecute) {
 }
 
 TEST(ServeSmokeTest, MillisecondDeadlineSurfacesAsDeadlineExceeded) {
-  // A 26-vertex circulant graph: full enumeration scans 2^26 subsets, far
-  // beyond a 1 ms budget, so the job must end DeadlineExceeded (and the
-  // batch still exits 0 — per-job failures are data, not infra errors).
+  // A 30-vertex circulant graph (steps 1..8) with k = 6: enumeration tests
+  // ~5.6 M subsets, ~140 ms on a 4-vCPU VM, far beyond a 1 ms budget, so the
+  // job must end DeadlineExceeded (and the batch still exits 0 — per-job
+  // failures are data, not infra errors).
   const std::filesystem::path jobs = ScratchDir() / "deadline_batch.jsonl";
   {
     std::ofstream out(jobs);
-    out << R"({"id":"slow","k":2,"backend":"enum","deadline_ms":1,)"
-        << R"("graph":{"n":26,"edges":[)";
+    out << R"({"id":"slow","k":6,"backend":"enum","deadline_ms":1,)"
+        << R"("graph":{"n":30,"edges":[)";
     bool first = true;
-    for (int v = 0; v < 26; ++v) {
-      for (int step : {1, 2, 3}) {
-        const int u = (v + step) % 26;
+    for (int v = 0; v < 30; ++v) {
+      for (int step = 1; step <= 8; ++step) {
+        const int u = (v + step) % 30;
         out << (first ? "" : ",") << "[" << v << "," << u << "]";
         first = false;
       }

@@ -226,6 +226,31 @@ TEST(RegistryTest, QuboBackendsStoppedInTheBuildReturnAnEmptyIncompleteOutcome) 
   }
 }
 
+TEST(RegistryTest, StoppedQuantumBackendsBuildNoOracle) {
+  // qtkp polls before its oracle evaluation and qmkp before its first
+  // probe, so a job stopped before it starts builds no oracle circuit.
+  const SolverRegistry registry = MakeBuiltinRegistry();
+  SolveRequest request;
+  request.graph = TwoBlockGraph();
+  request.k = 2;
+  CancelToken cancel;
+  cancel.Cancel();
+  SolveContext context;
+  context.cancel = &cancel;
+  for (const char* oracle : {"circuit", "predicate"}) {
+    request.options["oracle"] = oracle;
+    for (const char* backend : {"qtkp", "qmkp"}) {
+      const std::int64_t builds = CounterValue("oracle.builds");
+      const Result<SolveOutcome> outcome =
+          registry.Get(backend)->Solve(request, context);
+      ASSERT_TRUE(outcome.ok()) << backend << ": " << outcome.status();
+      EXPECT_FALSE(outcome.value().completed) << backend;
+      EXPECT_EQ(CounterValue("oracle.builds"), builds)
+          << backend << " oracle=" << oracle;
+    }
+  }
+}
+
 class SchedulerTest : public ::testing::Test {
  protected:
   SchedulerTest() : registry_(MakeBuiltinRegistry()) {}
@@ -300,12 +325,13 @@ TEST_F(SchedulerTest, DeterministicAcrossWorkerCounts) {
 }
 
 TEST_F(SchedulerTest, MillisecondDeadlineReturnsDeadlineExceededPromptly) {
-  // n = 26 enumeration scans 2^26 masks — seconds of work — but the 1 ms
-  // deadline must surface within the scheduler's polling granularity.
+  // Enumeration on G(30, 260) with k = 7 tests ~5.5 M subsets, ~215 ms on a
+  // 4-vCPU VM, but the 1 ms deadline must surface within the scheduler's
+  // polling granularity.
   JobScheduler scheduler(&registry_);
   SolveRequest request;
-  request.graph = RandomGnm(26, 120, 7).value();
-  request.k = 2;
+  request.graph = RandomGnm(30, 260, 3).value();
+  request.k = 7;
   request.backend = "enum";
   request.deadline_seconds = 0.001;
   Stopwatch watch;
@@ -1079,13 +1105,13 @@ TEST_F(SchedulerTest, TryWaitObservesCancellationWithIncumbentAttached) {
 }
 
 TEST_F(SchedulerTest, TryWaitObservesDeadlineExpiry) {
-  // Same instance as the blocking-deadline test: seconds of enumeration
+  // Same instance as the blocking-deadline test: ~215 ms of enumeration
   // against a 1 ms budget, but observed through the non-blocking probe the
   // socket serve loop uses.
   JobScheduler scheduler(&registry_);
   SolveRequest request;
-  request.graph = RandomGnm(26, 120, 7).value();
-  request.k = 2;
+  request.graph = RandomGnm(30, 260, 3).value();
+  request.k = 7;
   request.backend = "enum";
   request.deadline_seconds = 0.001;
   Stopwatch watch;

@@ -184,35 +184,6 @@ Graph Graph::Complement() const {
   return complement;
 }
 
-Graph Graph::InducedSubgraph(const VertexBitset& keep,
-                             std::vector<Vertex>* old_to_new) const {
-  QPLEX_CHECK(keep.size() == num_vertices_) << "subset size mismatch";
-  std::vector<Vertex> mapping(num_vertices_, -1);
-  Vertex next = 0;
-  for (Vertex v = 0; v < num_vertices_; ++v) {
-    if (keep.Test(v)) {
-      mapping[v] = next++;
-    }
-  }
-  Graph sub(next);
-  std::vector<std::pair<Vertex, Vertex>> kept_edges;
-  for (Vertex u = 0; u < num_vertices_; ++u) {
-    if (mapping[u] < 0) {
-      continue;
-    }
-    for (Vertex v : neighbors_[u]) {
-      if (u < v && mapping[v] >= 0) {
-        kept_edges.emplace_back(mapping[u], mapping[v]);
-      }
-    }
-  }
-  sub.AddEdges(kept_edges);
-  if (old_to_new != nullptr) {
-    *old_to_new = std::move(mapping);
-  }
-  return sub;
-}
-
 std::string Graph::ToString() const {
   std::ostringstream out;
   out << "Graph(n=" << num_vertices_ << ", m=" << num_edges_ << ")";

@@ -128,7 +128,7 @@ class Graph {
   /// O(Σ d²) worst case of per-edge sorted inserts through AddEdge — the
   /// difference between linear and quadratic time when a vertex's whole
   /// neighbourhood arrives in one batch (MakeGraph, Complement,
-  /// InducedSubgraph, reductions).
+  /// reductions).
   void AddEdges(const std::vector<std::pair<Vertex, Vertex>>& edges);
 
   bool HasEdge(Vertex u, Vertex v) const {
@@ -153,12 +153,6 @@ class Graph {
 
   /// The complement graph Ḡ: same vertices, edge iff not an edge here.
   Graph Complement() const;
-
-  /// The subgraph induced by `keep`, with vertices renumbered 0..|keep|-1 in
-  /// ascending original order. `old_to_new` (optional) receives the mapping,
-  /// -1 for dropped vertices.
-  Graph InducedSubgraph(const VertexBitset& keep,
-                        std::vector<Vertex>* old_to_new = nullptr) const;
 
   /// Human-readable one-line summary, e.g. "Graph(n=6, m=8)".
   std::string ToString() const;

@@ -89,15 +89,6 @@ Result<Graph> ParseEdgeList(const std::string& text) {
   return MakeGraph(num_vertices, edges);
 }
 
-std::string WriteEdgeList(const Graph& graph) {
-  std::ostringstream out;
-  out << "# qplex edge list\n" << graph.num_vertices() << "\n";
-  for (const auto& [u, v] : graph.Edges()) {
-    out << u << " " << v << "\n";
-  }
-  return out.str();
-}
-
 Result<Graph> ParseDimacs(const std::string& text) {
   std::istringstream in(text);
   std::string line;
@@ -142,16 +133,6 @@ Result<Graph> ParseDimacs(const std::string& text) {
     return Status::InvalidArgument("missing problem line");
   }
   return MakeGraph(num_vertices, edges);
-}
-
-std::string WriteDimacs(const Graph& graph) {
-  std::ostringstream out;
-  out << "c qplex DIMACS export\n"
-      << "p edge " << graph.num_vertices() << " " << graph.num_edges() << "\n";
-  for (const auto& [u, v] : graph.Edges()) {
-    out << "e " << (u + 1) << " " << (v + 1) << "\n";
-  }
-  return out.str();
 }
 
 Result<Graph> LoadEdgeListFile(const std::string& path) {

@@ -15,17 +15,11 @@ namespace qplex {
 ///   <u> <v>        (one edge per line, 0-based)
 Result<Graph> ParseEdgeList(const std::string& text);
 
-/// Serializes in the edge-list format accepted by ParseEdgeList.
-std::string WriteEdgeList(const Graph& graph);
-
 /// Parses the DIMACS clique benchmark format:
 ///   c <comment>
 ///   p edge <n> <m>
 ///   e <u> <v>      (1-based)
 Result<Graph> ParseDimacs(const std::string& text);
-
-/// Serializes in DIMACS `p edge` format (1-based endpoints).
-std::string WriteDimacs(const Graph& graph);
 
 /// Reads a whole file; convenience over the string parsers.
 Result<Graph> LoadEdgeListFile(const std::string& path);

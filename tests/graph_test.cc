@@ -86,22 +86,6 @@ TEST(GraphTest, ComplementInvolution) {
   }
 }
 
-TEST(GraphTest, InducedSubgraph) {
-  Graph graph = CompleteGraph(5);
-  VertexBitset keep(5);
-  keep.Set(0);
-  keep.Set(2);
-  keep.Set(4);
-  std::vector<Vertex> mapping;
-  Graph sub = graph.InducedSubgraph(keep, &mapping);
-  EXPECT_EQ(sub.num_vertices(), 3);
-  EXPECT_EQ(sub.num_edges(), 3);
-  EXPECT_EQ(mapping[0], 0);
-  EXPECT_EQ(mapping[1], -1);
-  EXPECT_EQ(mapping[2], 1);
-  EXPECT_EQ(mapping[4], 2);
-}
-
 TEST(GraphTest, MakeGraphValidation) {
   EXPECT_FALSE(MakeGraph(3, {{0, 3}}).ok());
   EXPECT_FALSE(MakeGraph(3, {{1, 1}}).ok());
@@ -298,8 +282,13 @@ TEST(GeneratorsTest, FixedTopologies) {
 // -- IO -----------------------------------------------------------------------
 
 TEST(IoTest, EdgeListRoundTrip) {
-  auto graph = RandomGnm(9, 15, 4).value();
-  auto parsed = ParseEdgeList(WriteEdgeList(graph)).value();
+  const Graph graph = MakeGraph(9, {{0, 4}, {1, 2}, {1, 8}, {2, 5}, {3, 7},
+                                    {4, 6}, {5, 8}, {6, 7}})
+                          .value();
+  const Graph parsed =
+      ParseEdgeList("# qplex edge list\n9\n0 4\n1 2\n1 8\n2 5\n3 7\n4 6\n"
+                    "5 8\n6 7\n")
+          .value();
   EXPECT_EQ(parsed.num_vertices(), 9);
   EXPECT_EQ(parsed.Edges(), graph.Edges());
 }
@@ -317,8 +306,13 @@ TEST(IoTest, EdgeListErrors) {
 }
 
 TEST(IoTest, DimacsRoundTrip) {
-  auto graph = RandomGnm(11, 20, 8).value();
-  auto parsed = ParseDimacs(WriteDimacs(graph)).value();
+  // DIMACS endpoints are 1-based; the parsed graph is 0-based.
+  const Graph graph =
+      MakeGraph(11, {{0, 10}, {1, 3}, {2, 9}, {4, 5}, {5, 6}, {7, 8}}).value();
+  const Graph parsed =
+      ParseDimacs("c qplex DIMACS export\np edge 11 6\ne 1 11\ne 2 4\n"
+                  "e 3 10\ne 5 6\ne 6 7\ne 8 9\n")
+          .value();
   EXPECT_EQ(parsed.num_vertices(), 11);
   EXPECT_EQ(parsed.Edges(), graph.Edges());
 }

@@ -51,7 +51,6 @@
 #include "common/table.h"
 #include "embed/hardware.h"
 #include "embed/minor_embedding.h"
-#include "graph/decomposition.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "graph/instances.h"

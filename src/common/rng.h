@@ -70,11 +70,6 @@ class Rng {
   /// Bernoulli draw with success probability `p`.
   bool Bernoulli(double p) { return UniformDouble() < p; }
 
-  /// Forks an independent stream; children of distinct indices are unrelated.
-  Rng Fork(std::uint64_t stream_index) {
-    return Rng(Next() ^ (0x6a09e667f3bcc909ULL * (stream_index + 1)));
-  }
-
  private:
   static std::uint64_t Rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));

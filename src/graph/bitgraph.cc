@@ -67,13 +67,6 @@ void BitGraph::RemoveVertex(Vertex v) {
   }
 }
 
-bool BitGraph::IsKPlex(const VertexBitset& members, int k) const {
-  QPLEX_CHECK(members.size() == n_) << "subset size mismatch";
-  const int size = members.Count();
-  return members.ForEachBitWhile(
-      [&](Vertex v) { return DegreeIn(v, members) >= size - k; });
-}
-
 MaskEngine::MaskEngine(const Graph& graph) : n(graph.num_vertices()) {
   QPLEX_CHECK(n <= 64) << "MaskEngine requires n <= 64, got " << n;
   rows.assign(n, 0);

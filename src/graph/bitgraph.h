@@ -84,10 +84,6 @@ class BitGraph {
     IterateBits(Row(v), words_, fn);
   }
 
-  /// True if `members` is a k-plex: every member keeps at least
-  /// |members| - k neighbours inside the set. O(|members| · n/64).
-  bool IsKPlex(const VertexBitset& members, int k) const;
-
  private:
   std::uint64_t* MutableRow(Vertex v) {
     return rows_.data() + static_cast<std::size_t>(v) * words_;

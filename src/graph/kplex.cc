@@ -15,16 +15,6 @@ bool IsKPlex(const Graph& graph, const VertexBitset& members, int k) {
   return true;
 }
 
-bool IsKCplex(const Graph& graph, const VertexBitset& members, int k) {
-  QPLEX_CHECK(k >= 1) << "k must be at least 1";
-  for (Vertex v : members.ToList()) {
-    if (graph.DegreeIn(v, members) > k - 1) {
-      return false;
-    }
-  }
-  return true;
-}
-
 std::vector<std::uint64_t> AdjacencyMasks(const Graph& graph) {
   QPLEX_CHECK(graph.num_vertices() <= 64)
       << "mask utilities require n <= 64, got n=" << graph.num_vertices();
@@ -44,19 +34,6 @@ bool IsKPlexMask(const std::vector<std::uint64_t>& adjacency,
     const int v = std::countr_zero(rest);
     rest &= rest - 1;
     if (DegreeInMask(adjacency, v, mask) < size - k) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool IsKCplexMask(const std::vector<std::uint64_t>& adjacency,
-                  std::uint64_t mask, int k) {
-  std::uint64_t rest = mask;
-  while (rest != 0) {
-    const int v = std::countr_zero(rest);
-    rest &= rest - 1;
-    if (DegreeInMask(adjacency, v, mask) > k - 1) {
       return false;
     }
   }

@@ -16,10 +16,6 @@ namespace qplex {
 /// |members| - k neighbours inside the set. The empty set is a k-plex.
 bool IsKPlex(const Graph& graph, const VertexBitset& members, int k);
 
-/// True if `members` is a k-cplex of `graph`: every member has at most k-1
-/// neighbours inside the set (the complement-graph view used by the oracle).
-bool IsKCplex(const Graph& graph, const VertexBitset& members, int k);
-
 /// Per-vertex adjacency as 64-bit masks; requires n <= 64.
 std::vector<std::uint64_t> AdjacencyMasks(const Graph& graph);
 
@@ -30,10 +26,6 @@ inline int DegreeInMask(const std::vector<std::uint64_t>& adjacency, Vertex v,
 /// True if subset `mask` is a k-plex (mask form; requires n <= 64).
 bool IsKPlexMask(const std::vector<std::uint64_t>& adjacency,
                  std::uint64_t mask, int k);
-
-/// True if subset `mask` is a k-cplex (mask form; requires n <= 64).
-bool IsKCplexMask(const std::vector<std::uint64_t>& adjacency,
-                  std::uint64_t mask, int k);
 
 /// Converts a mask into a VertexBitset of `num_vertices` bits.
 VertexBitset MaskToBitset(int num_vertices, std::uint64_t mask);

@@ -23,14 +23,6 @@ QubitRange Circuit::AllocateAncilla(const std::string& hint, int width) {
                           width);
 }
 
-Result<QubitRange> Circuit::FindRegister(const std::string& name) const {
-  const auto it = registers_.find(name);
-  if (it == registers_.end()) {
-    return Status::NotFound("no register named " + name);
-  }
-  return it->second;
-}
-
 int Circuit::BeginStage(const std::string& name) {
   for (std::size_t i = 0; i < stage_names_.size(); ++i) {
     if (stage_names_[i] == name) {
@@ -58,10 +50,6 @@ void Circuit::Append(Gate gate) {
   gates_.push_back(std::move(gate));
 }
 
-void Circuit::AppendInverseOfSuffix(int first_gate) {
-  AppendInverseOfRange(first_gate, num_gates());
-}
-
 void Circuit::AppendInverseOfRange(int first_gate, int last_gate) {
   QPLEX_CHECK(first_gate >= 0 && first_gate <= last_gate &&
               last_gate <= num_gates())
@@ -83,14 +71,6 @@ void Circuit::PrependGates(const std::vector<Gate>& gates) {
     validated.push_back(std::move(gate));
   }
   gates_.insert(gates_.begin(), validated.begin(), validated.end());
-}
-
-std::vector<int> Circuit::GateCountsByStage() const {
-  std::vector<int> counts(stage_names_.size(), 0);
-  for (const Gate& gate : gates_) {
-    ++counts[gate.stage];
-  }
-  return counts;
 }
 
 std::vector<std::int64_t> Circuit::CostsByStage() const {

@@ -48,9 +48,6 @@ class Circuit {
   /// Circuit builders use this for ancillas so callers never clash on names.
   QubitRange AllocateAncilla(const std::string& hint, int width);
 
-  /// Looks up a previously allocated register.
-  Result<QubitRange> FindRegister(const std::string& name) const;
-
   int num_qubits() const { return num_qubits_; }
   int num_gates() const { return static_cast<int>(gates_.size()); }
   const std::vector<Gate>& gates() const { return gates_; }
@@ -64,10 +61,6 @@ class Circuit {
   /// validated against the allocated qubit count.
   void Append(Gate gate);
 
-  /// Appends the inverse of everything appended since `first_gate` — used to
-  /// uncompute ancillas after the oracle flip.
-  void AppendInverseOfSuffix(int first_gate);
-
   /// Appends the inverse of gates [first_gate, last_gate); lets the oracle
   /// builder uncompute U_check while leaving the oracle flip in place.
   void AppendInverseOfRange(int first_gate, int last_gate);
@@ -77,9 +70,7 @@ class Circuit {
   /// circuit around an already-built oracle.
   void PrependGates(const std::vector<Gate>& gates);
 
-  /// Gate count per stage (indexed like stage_names()).
-  std::vector<int> GateCountsByStage() const;
-  /// Cost (Gate::Cost sum) per stage.
+  /// Cost (Gate::Cost sum) per stage (indexed like stage_names()).
   std::vector<std::int64_t> CostsByStage() const;
   /// Total cost across all gates.
   std::int64_t TotalCost() const;

@@ -717,7 +717,7 @@ void JobScheduler::ScheduleRetry(const SubTask& task, int worker,
                           0x9e3779b97f4a7c15ULL) ^
                          static_cast<std::uint64_t>(task.slot);
   const double delay_ms =
-      resilience::Backoff::DelayAtAttempt(backoff_options, task.attempt);
+      resilience::DelayAtAttempt(backoff_options, task.attempt);
 
   registry.GetCounter("svc.retries.scheduled").Increment();
   registry.GetCounter("svc.backend." + backend + ".retries").Increment();

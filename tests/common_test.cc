@@ -165,17 +165,6 @@ TEST(RngTest, BernoulliMatchesProbability) {
   EXPECT_NEAR(hits / 20000.0, 0.3, 0.02);
 }
 
-TEST(RngTest, ForkedStreamsIndependent) {
-  Rng parent(99);
-  Rng child_a = parent.Fork(0);
-  Rng child_b = parent.Fork(1);
-  int same = 0;
-  for (int i = 0; i < 64; ++i) {
-    same += (child_a.Next() == child_b.Next());
-  }
-  EXPECT_EQ(same, 0);
-}
-
 TEST(StopwatchTest, MeasuresElapsedTime) {
   Stopwatch watch;
   volatile double sink = 0;

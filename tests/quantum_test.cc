@@ -76,8 +76,6 @@ TEST(CircuitTest, RegisterAllocation) {
   EXPECT_EQ(a[2], 2);
   EXPECT_EQ(b, 3);
   EXPECT_EQ(circuit.num_qubits(), 4);
-  EXPECT_TRUE(circuit.FindRegister("a").ok());
-  EXPECT_FALSE(circuit.FindRegister("zzz").ok());
 }
 
 TEST(CircuitTest, AncillaNamesUnique) {
@@ -95,11 +93,8 @@ TEST(CircuitTest, StageTagging) {
   circuit.BeginStage("phase2");
   circuit.Append(MakeCX(0, 1));
   circuit.Append(MakeCCX(0, 1, 2));
-  const auto counts = circuit.GateCountsByStage();
-  ASSERT_EQ(counts.size(), 2u);
-  EXPECT_EQ(counts[0], 1);
-  EXPECT_EQ(counts[1], 2);
   const auto costs = circuit.CostsByStage();
+  ASSERT_EQ(costs.size(), 2u);
   EXPECT_EQ(costs[0], 1);
   EXPECT_EQ(costs[1], 2 + 3);
   EXPECT_EQ(circuit.TotalCost(), 6);
@@ -122,7 +117,7 @@ TEST(CircuitTest, InverseOfRangeRestoresState) {
   circuit.Append(MakeCX(0, 1));
   circuit.Append(MakeCCX(0, 1, 2));
   circuit.Append(MakeCX(2, 3));
-  circuit.AppendInverseOfSuffix(0);
+  circuit.AppendInverseOfRange(0, circuit.num_gates());
 
   BitString input(4);
   const BitString output =

@@ -688,21 +688,18 @@ TEST(BackoffTest, DeterministicBoundedAndResettable) {
   options.base_ms = 1.0;
   options.cap_ms = 50.0;
   options.seed = 42;
-  resilience::Backoff a(options);
-  resilience::Backoff b(options);
   std::vector<double> first;
-  for (int i = 0; i < 10; ++i) {
-    const double delay = a.NextDelayMs();
+  for (int attempt = 1; attempt <= 10; ++attempt) {
+    const double delay = resilience::DelayAtAttempt(options, attempt);
     EXPECT_GE(delay, options.base_ms);
     EXPECT_LE(delay, options.cap_ms);
     first.push_back(delay);
-    EXPECT_DOUBLE_EQ(b.NextDelayMs(), delay);
   }
-  EXPECT_EQ(a.attempts(), 10);
-  a.Reset();
-  EXPECT_EQ(a.attempts(), 0);
-  for (const double delay : first) {
-    EXPECT_DOUBLE_EQ(a.NextDelayMs(), delay);  // Reset replays the sequence
+  // The schedule is a pure function of (options, attempt): asking again from
+  // attempt 1 replays it.
+  for (int attempt = 1; attempt <= 10; ++attempt) {
+    EXPECT_DOUBLE_EQ(resilience::DelayAtAttempt(options, attempt),
+                     first[attempt - 1]);
   }
 }
 

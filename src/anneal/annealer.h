@@ -12,6 +12,10 @@
 
 namespace qplex {
 
+/// Modeled annealer time one Monte Carlo sweep accounts for on the anytime
+/// curves of SA, parallel tempering and the hybrid solver's polish.
+constexpr double kMicrosPerSweep = 1.0;
+
 /// One point on an anytime cost curve: best energy seen after spending
 /// `budget_micros` of modeled annealer time.
 struct CostTracePoint {

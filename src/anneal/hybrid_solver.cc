@@ -10,6 +10,12 @@
 #include "obs/trace.h"
 
 namespace qplex {
+namespace {
+
+/// Sweeps of each inner SA restart.
+constexpr int kSweepsPerRestart = 64;
+
+}  // namespace
 
 int SteepestDescent(const QuboModel& model, QuboSample* sample) {
   QPLEX_CHECK(sample != nullptr &&
@@ -35,9 +41,6 @@ int SteepestDescent(const QuboModel& model, QuboSample* sample) {
 }
 
 Result<AnnealResult> HybridSolver::Run(const QuboModel& model) const {
-  if (options_.min_runtime_micros <= 0 || options_.sweeps_per_restart < 1) {
-    return Status::InvalidArgument("bad hybrid solver options");
-  }
   obs::TraceSpan span("anneal.hybrid");
   obs::ProgressHeartbeat heartbeat("anneal.hybrid");
   Stopwatch watch;
@@ -47,13 +50,12 @@ Result<AnnealResult> HybridSolver::Run(const QuboModel& model) const {
   std::int64_t basin_hops = 0;
 
   SimulatedAnnealerOptions sa_options;
-  sa_options.sweeps_per_shot = options_.sweeps_per_restart;
+  sa_options.sweeps_per_shot = kSweepsPerRestart;
   sa_options.shots = 1;
   sa_options.beta_final = 8.0;
-  sa_options.micros_per_sweep = options_.micros_per_sweep;
   sa_options.cancel = options_.cancel;
 
-  while (result.modeled_micros < options_.min_runtime_micros &&
+  while (result.modeled_micros < kHybridMinRuntimeMicros &&
          result.shots < options_.max_restarts) {
     if (StopRequested(options_.cancel)) {
       result.completed = false;
@@ -74,7 +76,7 @@ Result<AnnealResult> HybridSolver::Run(const QuboModel& model) const {
     polish_flips += flips;
     result.sweeps += restart.sweeps + flips;  // polish counted as sweeps
     result.modeled_micros +=
-        restart.modeled_micros + flips * options_.micros_per_sweep;
+        restart.modeled_micros + flips * kMicrosPerSweep;
     ++result.shots;
     anneal_internal::RecordSample(model, polished, result.modeled_micros,
                                   &result, &heartbeat, &options_.hooks);
@@ -98,13 +100,13 @@ Result<AnnealResult> HybridSolver::Run(const QuboModel& model) const {
     polish_flips += hop_flips;
     ++basin_hops;
     result.sweeps += hop_flips;
-    result.modeled_micros += hop_flips * options_.micros_per_sweep;
+    result.modeled_micros += hop_flips * kMicrosPerSweep;
     anneal_internal::RecordSample(model, hop, result.modeled_micros, &result,
                                   &heartbeat, &options_.hooks);
   }
   // The service returns no earlier than its runtime floor.
   result.modeled_micros =
-      std::max(result.modeled_micros, options_.min_runtime_micros);
+      std::max(result.modeled_micros, kHybridMinRuntimeMicros);
   if (!result.trace.empty()) {
     result.trace.back().budget_micros = result.modeled_micros;
   }

@@ -9,6 +9,10 @@
 
 namespace qplex {
 
+/// The hybrid service's runtime floor; the paper's haMKP requires >= 3 s. We
+/// model it in annealer micros so it lands on the same axis as qaMKP/SA.
+constexpr double kHybridMinRuntimeMicros = 3.0e6;
+
 /// Stand-in for the D-Wave Hybrid BQM service ("haMKP"): a classical
 /// portfolio — multi-restart simulated annealing at an aggressive sweep
 /// budget followed by steepest-descent polishing — run under a minimum
@@ -16,12 +20,6 @@ namespace qplex {
 /// returns a (near-)optimal sample after its runtime floor (Fig. 10/11 show
 /// it as a single star at the optimum).
 struct HybridSolverOptions {
-  /// The service's runtime floor; the paper's haMKP requires >= 3 s. We model
-  /// it in annealer micros so it lands on the same axis as qaMKP/SA.
-  double min_runtime_micros = 3.0e6;
-  /// Modeled micros one sweep accounts for (shared with SA's accounting).
-  double micros_per_sweep = 1.0;
-  int sweeps_per_restart = 64;
   /// Optional domain refinement applied to every candidate before recording
   /// (e.g. MkpQubo::ImproveSample). Models the problem-aware classical
   /// post-processing inside hybrid annealing services.
@@ -46,8 +44,8 @@ class HybridSolver {
   explicit HybridSolver(HybridSolverOptions options = {})
       : options_(options) {}
 
-  /// Minimizes `model`, spending at least min_runtime_micros of modeled time
-  /// across SA restarts + local polishing.
+  /// Minimizes `model`, spending at least kHybridMinRuntimeMicros of modeled
+  /// time across SA restarts + local polishing.
   Result<AnnealResult> Run(const QuboModel& model) const;
 
  private:

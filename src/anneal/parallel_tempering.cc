@@ -9,16 +9,20 @@
 #include "obs/trace.h"
 
 namespace qplex {
+namespace {
+
+/// Ends of the geometric inverse-temperature ladder.
+constexpr double kBetaMin = 0.05;
+constexpr double kBetaMax = 8.0;
+
+}  // namespace
 
 Result<AnnealResult> ParallelTempering::Run(const QuboModel& model) const {
   if (options_.num_replicas < 2) {
     return Status::InvalidArgument("need at least 2 replicas");
   }
-  if (options_.beta_min <= 0 || options_.beta_max < options_.beta_min) {
-    return Status::InvalidArgument("need 0 < beta_min <= beta_max");
-  }
-  if (options_.sweeps_per_round < 1 || options_.rounds < 1) {
-    return Status::InvalidArgument("sweeps and rounds must be positive");
+  if (options_.rounds < 1) {
+    return Status::InvalidArgument("rounds must be positive");
   }
 
   obs::TraceSpan span("anneal.pt");
@@ -33,9 +37,8 @@ Result<AnnealResult> ParallelTempering::Run(const QuboModel& model) const {
 
   // Geometric beta ladder: replica 0 hottest, R-1 coldest.
   std::vector<double> betas(R);
-  const double ratio =
-      std::pow(options_.beta_max / options_.beta_min, 1.0 / (R - 1));
-  betas[0] = options_.beta_min;
+  const double ratio = std::pow(kBetaMax / kBetaMin, 1.0 / (R - 1));
+  betas[0] = kBetaMin;
   for (int r = 1; r < R; ++r) {
     betas[r] = betas[r - 1] * ratio;
   }
@@ -51,7 +54,7 @@ Result<AnnealResult> ParallelTempering::Run(const QuboModel& model) const {
   for (int round = 0; round < options_.rounds && result.completed; ++round) {
     // Metropolis sweeps per replica at its own temperature.
     for (int r = 0; r < R && result.completed; ++r) {
-      for (int sweep = 0; sweep < options_.sweeps_per_round; ++sweep) {
+      for (int sweep = 0; sweep < kPtSweepsPerRound; ++sweep) {
         if (StopRequested(options_.cancel)) {
           result.completed = false;
           break;
@@ -79,8 +82,7 @@ Result<AnnealResult> ParallelTempering::Run(const QuboModel& model) const {
         ++swaps_accepted;
       }
     }
-    result.modeled_micros +=
-        options_.micros_per_sweep * options_.sweeps_per_round * R;
+    result.modeled_micros += kMicrosPerSweep * kPtSweepsPerRound * R;
     // Record the coldest replica (and implicitly the global best).
     anneal_internal::RecordSample(model, replicas[R - 1],
                                   result.modeled_micros, &result, &heartbeat,

@@ -8,6 +8,9 @@
 
 namespace qplex {
 
+/// Metropolis sweeps each replica runs between replica-exchange rounds.
+constexpr int kPtSweepsPerRound = 4;
+
 /// Parallel tempering (replica exchange) over a QUBO: several Metropolis
 /// chains at a geometric ladder of temperatures, with periodic
 /// configuration swaps between adjacent temperatures. A stronger classical
@@ -15,13 +18,8 @@ namespace qplex {
 /// objective; used as an ablation baseline.
 struct ParallelTemperingOptions {
   int num_replicas = 8;
-  double beta_min = 0.05;
-  double beta_max = 8.0;
-  /// Sweeps between replica-exchange rounds.
-  int sweeps_per_round = 4;
+  /// Replica-exchange rounds; each runs kPtSweepsPerRound sweeps per replica.
   int rounds = 64;
-  /// Modeled micros one sweep accounts for (for the anytime trace).
-  double micros_per_sweep = 1.0;
   /// Optional stop token (cancellation and deadline); may be null. Polled
   /// every replica sweep; on a stop the incumbent is returned with
   /// `completed == false`.

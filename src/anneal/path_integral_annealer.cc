@@ -9,6 +9,16 @@
 #include "obs/trace.h"
 
 namespace qplex {
+namespace {
+
+/// Inverse temperature of the path-integral ensemble.
+constexpr double kBeta = 2.0;
+/// Transverse-field schedule per shot: Gamma falls linearly from initial to
+/// final across the shot's sweeps (the device's annealing schedule).
+constexpr double kGammaInitial = 3.0;
+constexpr double kGammaFinal = 0.05;
+
+}  // namespace
 
 Result<AnnealResult> PathIntegralAnnealer::Run(const QuboModel& model) const {
   if (options_.replicas < 2) {
@@ -17,13 +27,8 @@ Result<AnnealResult> PathIntegralAnnealer::Run(const QuboModel& model) const {
   if (options_.shots < 1) {
     return Status::InvalidArgument("shots must be positive");
   }
-  if (options_.annealing_time_micros <= 0 || options_.sweeps_per_micro <= 0) {
+  if (options_.annealing_time_micros <= 0) {
     return Status::InvalidArgument("annealing time must be positive");
-  }
-  if (options_.beta <= 0 || options_.gamma_initial <= 0 ||
-      options_.gamma_final <= 0 ||
-      options_.gamma_final > options_.gamma_initial) {
-    return Status::InvalidArgument("bad beta/gamma schedule");
   }
 
   const IsingModel ising = model.ToIsing();
@@ -32,10 +37,9 @@ Result<AnnealResult> PathIntegralAnnealer::Run(const QuboModel& model) const {
   // Annealing time converts to sweeps only up to the device's saturation
   // point; the remainder of a long shot burns budget without improving it.
   const double effective_micros =
-      std::min(options_.annealing_time_micros, options_.saturation_micros);
+      std::min(options_.annealing_time_micros, kSqaSaturationMicros);
   const int sweeps_per_shot = std::max(
-      1, static_cast<int>(
-             std::lround(effective_micros * options_.sweeps_per_micro)));
+      1, static_cast<int>(std::lround(effective_micros * kSqaSweepsPerMicro)));
 
   // Per-site coupling lists for O(deg) flip deltas.
   std::vector<std::vector<std::pair<int, double>>> neighbors(n);
@@ -72,14 +76,12 @@ Result<AnnealResult> PathIntegralAnnealer::Run(const QuboModel& model) const {
           sweeps_per_shot == 1
               ? 1.0
               : static_cast<double>(sweep) / (sweeps_per_shot - 1);
-      const double gamma = options_.gamma_initial +
-                           progress * (options_.gamma_final -
-                                       options_.gamma_initial);
+      const double gamma =
+          kGammaInitial + progress * (kGammaFinal - kGammaInitial);
       // Ferromagnetic inter-replica coupling J_perp > 0 (stronger as the
       // transverse field decays, freezing the replicas together).
       const double j_perp =
-          -0.5 / options_.beta *
-          std::log(std::tanh(options_.beta * gamma / P));
+          -0.5 / kBeta * std::log(std::tanh(kBeta * gamma / P));
 
       for (int p = 0; p < P; ++p) {
         const int prev = (p + P - 1) % P;
@@ -99,7 +101,7 @@ Result<AnnealResult> PathIntegralAnnealer::Run(const QuboModel& model) const {
               (spins[prev][i] + spins[next][i]);
           const double delta = delta_classical + delta_quantum;
           if (delta <= 0 ||
-              rng.UniformDouble() < std::exp(-options_.beta * delta)) {
+              rng.UniformDouble() < std::exp(-kBeta * delta)) {
             spins[p][i] = static_cast<std::int8_t>(-spins[p][i]);
             ++flips_accepted;
           }

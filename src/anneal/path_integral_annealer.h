@@ -8,6 +8,16 @@
 
 namespace qplex {
 
+/// How many Monte Carlo sweeps one microsecond of annealing maps to; the
+/// calibration constant of the substitution, documented in EXPERIMENTS.md.
+constexpr double kSqaSweepsPerMicro = 8.0;
+
+/// Device saturation: single-shot quality on physical annealers stops
+/// improving beyond a short annealing time at these problem sizes (the
+/// paper's Table VI finding — 1 us anneals already saturate); annealing time
+/// past this point consumes budget without adding sweeps.
+constexpr double kSqaSaturationMicros = 2.0;
+
 /// Simulated quantum annealing (path-integral Monte Carlo over Trotter
 /// replicas with a decaying transverse field) — qplex's stand-in for the
 /// D-Wave Advantage QPU that runs qaMKP in the paper. The knobs mirror the
@@ -17,23 +27,9 @@ namespace qplex {
 struct PathIntegralAnnealerOptions {
   /// Trotter replicas approximating the quantum system.
   int replicas = 16;
-  /// Inverse temperature of the path-integral ensemble.
-  double beta = 2.0;
-  /// Transverse-field schedule per shot: Gamma falls linearly from initial
-  /// to final across the shot's sweeps (the device's annealing schedule).
-  double gamma_initial = 3.0;
-  double gamma_final = 0.05;
-  /// Annealing time per shot in microseconds (the paper's Delta-t).
+  /// Annealing time per shot in microseconds (the paper's Delta-t). It maps
+  /// to kSqaSweepsPerMicro sweeps per microsecond up to kSqaSaturationMicros.
   double annealing_time_micros = 1.0;
-  /// How many Monte Carlo sweeps one microsecond of annealing maps to; the
-  /// calibration constant of the substitution, documented in EXPERIMENTS.md.
-  double sweeps_per_micro = 8.0;
-  /// Device saturation: single-shot quality on physical annealers stops
-  /// improving beyond a short annealing time at these problem sizes (the
-  /// paper's Table VI finding — 1 us anneals already saturate); annealing
-  /// time past this point consumes budget without adding sweeps. Set to a
-  /// huge value to disable the effect.
-  double saturation_micros = 2.0;
   int shots = 100;
   /// Optional stop token (cancellation and deadline); may be null. Polled
   /// every Trotter sweep; on a stop the incumbent is returned with

@@ -8,14 +8,19 @@
 #include "obs/trace.h"
 
 namespace qplex {
+namespace {
+
+/// First inverse temperature of every shot's geometric schedule.
+constexpr double kBetaInitial = 0.1;
+
+}  // namespace
 
 Result<AnnealResult> SimulatedAnnealer::Run(const QuboModel& model) const {
   if (options_.shots < 1 || options_.sweeps_per_shot < 1) {
     return Status::InvalidArgument("shots and sweeps must be positive");
   }
-  if (options_.beta_initial <= 0 ||
-      options_.beta_final < options_.beta_initial) {
-    return Status::InvalidArgument("need 0 < beta_initial <= beta_final");
+  if (options_.beta_final < kBetaInitial) {
+    return Status::InvalidArgument("beta_final must be at least 0.1");
   }
   obs::TraceSpan span("anneal.sa");
   obs::ProgressHeartbeat heartbeat("anneal.sa");
@@ -30,9 +35,9 @@ Result<AnnealResult> SimulatedAnnealer::Run(const QuboModel& model) const {
   const double ratio =
       options_.sweeps_per_shot == 1
           ? 1.0
-          : std::pow(options_.beta_final / options_.beta_initial,
+          : std::pow(options_.beta_final / kBetaInitial,
                      1.0 / (options_.sweeps_per_shot - 1));
-  double beta = options_.beta_initial;
+  double beta = kBetaInitial;
   for (int s = 0; s < options_.sweeps_per_shot; ++s) {
     betas[s] = beta;
     beta *= ratio;
@@ -56,8 +61,7 @@ Result<AnnealResult> SimulatedAnnealer::Run(const QuboModel& model) const {
       ++result.sweeps;
     }
     ++result.shots;
-    result.modeled_micros +=
-        options_.micros_per_sweep * options_.sweeps_per_shot;
+    result.modeled_micros += kMicrosPerSweep * options_.sweeps_per_shot;
     anneal_internal::RecordSample(model, sample, result.modeled_micros,
                                   &result, &heartbeat, &options_.hooks);
   }

@@ -15,12 +15,9 @@ namespace qplex {
 struct SimulatedAnnealerOptions {
   int sweeps_per_shot = 2;
   int shots = 100;
-  /// Inverse-temperature schedule: beta rises geometrically from beta_initial
-  /// to beta_final across the sweeps of one shot.
-  double beta_initial = 0.1;
+  /// Inverse-temperature schedule: beta rises geometrically from 0.1 to
+  /// beta_final (at least 0.1) across the sweeps of one shot.
   double beta_final = 5.0;
-  /// Modeled time one sweep costs, for the anytime curves (micros).
-  double micros_per_sweep = 1.0;
   /// Optional stop token (cancellation and deadline); may be null. Polled
   /// every sweep, so a 1 ms deadline stops the run promptly; the incumbent
   /// is returned with `AnnealResult::completed == false`.

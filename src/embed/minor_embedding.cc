@@ -14,12 +14,16 @@ namespace {
 
 constexpr double kInfinity = std::numeric_limits<double>::infinity();
 
+/// Initial multiplicative node-cost penalty per existing occupant; drives the
+/// router around contended qubits (the alpha of Cai–Macready–Roy).
+constexpr double kUsagePenalty = 8.0;
+
 /// Router state shared by the construction and refinement phases.
 struct RouterState {
   const Graph* hardware = nullptr;
   /// Number of chains currently occupying each hardware node.
   std::vector<int> usage;
-  double usage_penalty = 8.0;
+  double usage_penalty = kUsagePenalty;
   /// Per-node multiplicative cost noise, refreshed before every chain
   /// construction. Equal-cost configurations then wander pass to pass, which
   /// is what lets the rip-up loop escape "door contention" deadlocks (two
@@ -294,7 +298,6 @@ Result<Embedding> MinorEmbedder::Embed(const Graph& logical,
   RouterState state;
   state.hardware = &hardware;
   state.usage.assign(hardware.num_vertices(), 0);
-  state.usage_penalty = options_.usage_penalty;
   state.jitter.assign(hardware.num_vertices(), 1.0);
 
   // Embed in descending-degree order (hardest first).
@@ -377,7 +380,7 @@ Result<Embedding> MinorEmbedder::Embed(const Graph& logical,
       for (auto& chain : embedding.chains) {
         chain.clear();
       }
-      state.usage_penalty = options_.usage_penalty;
+      state.usage_penalty = kUsagePenalty;
       best_overlap = hardware.num_vertices();
       stalled_passes = 0;
     }

@@ -39,9 +39,6 @@ struct MinorEmbedderOptions {
   /// rips up and re-routes every chain (in a fresh random order, under a
   /// doubled contention penalty) with the others fixed.
   int max_passes = 16;
-  /// Multiplicative node-cost penalty per existing occupant; drives the
-  /// router around contended qubits (the alpha of Cai–Macready–Roy).
-  double usage_penalty = 8.0;
   std::uint64_t seed = 1;
 };
 

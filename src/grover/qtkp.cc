@@ -16,6 +16,10 @@
 namespace qplex {
 namespace {
 
+/// Residual misclassification probability the known-M retry budget aims
+/// below.
+constexpr double kTargetError = 1e-6;
+
 /// The classical check of a measured subset: a k-plex with at least
 /// `threshold` vertices. The predicate backend marks exactly these subsets.
 bool IsPlexOfSize(const std::vector<std::uint64_t>& adjacency, int k,
@@ -145,15 +149,15 @@ Result<QtkpResult> RunQtkp(const Graph& graph, int k, int threshold,
     // Known-M schedule (quantum counting gives M; in simulation it is exact).
     result.iterations = OptimalGroverIterations(n, result.num_solutions);
     // Retry budget: enough verified attempts to push the residual failure
-    // probability below target_error (the paper's "run c times" argument).
+    // probability below kTargetError (the paper's "run c times" argument).
     result.attempt_budget = options.max_attempts;
     if (result.num_solutions > 0) {
       const double single_error = 1.0 - TheoreticalSuccessProbability(
                                             n, result.num_solutions,
                                             result.iterations);
-      if (single_error > 0 && options.target_error > 0) {
-        const int needed = static_cast<int>(std::ceil(
-            std::log(options.target_error) / std::log(single_error)));
+      if (single_error > 0) {
+        const int needed = static_cast<int>(
+            std::ceil(std::log(kTargetError) / std::log(single_error)));
         // At least max_attempts, and capped at 64 — unless the caller asked
         // for more than 64, which raises the cap (std::clamp requires
         // lo <= hi, so clamping to a fixed 64 is UB for max_attempts > 64).

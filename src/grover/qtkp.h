@@ -29,13 +29,12 @@ struct QtkpOptions {
   MkpOracleOptions oracle;
   /// Minimum measurement attempts per search; each failed measurement is
   /// detected by the classical verification step and the search is re-run
-  /// (the "run c times" error-reduction of Section V-A).
+  /// (the "run c times" error-reduction of Section V-A). With M known the
+  /// per-attempt failure probability is known exactly, so qTKP keeps
+  /// retrying until the residual misclassification probability drops below
+  /// 1e-6 (capped at 64 attempts). Retries are cheap: over-rotated probes
+  /// (large M) use very few Grover iterations.
   int max_attempts = 3;
-  /// With M known the per-attempt failure probability is known exactly, so
-  /// qTKP keeps retrying until the residual misclassification probability
-  /// drops below this target (capped at 64 attempts). Retries are cheap:
-  /// over-rotated probes (large M) use very few Grover iterations.
-  double target_error = 1e-6;
   /// When true, use the Boyer–Brassard–Høyer–Tapp schedule for unknown M
   /// instead of quantum counting + the optimal iteration count. The attempt
   /// budget on this path is 8 * max_attempts random-iteration probes.

@@ -7,6 +7,9 @@
 namespace qplex {
 namespace {
 
+/// Integrality tolerance for classifying LP values.
+constexpr double kIntegralityTolerance = 1e-6;
+
 /// One branch-and-bound node: variable fixings accumulated along the path.
 struct Node {
   std::vector<std::pair<int, int>> fixings;  // (var, value 0/1)
@@ -57,8 +60,7 @@ Result<MilpSolution> MilpSolver::Solve(const MilpProblem& problem) const {
   stack.push_back(Node{});
 
   while (!stack.empty()) {
-    if (StopRequested(options_.cancel) ||
-        (options_.max_nodes > 0 && solution.nodes >= options_.max_nodes)) {
+    if (StopRequested(options_.cancel)) {
       solution.optimal = false;
       solution.seconds = watch.ElapsedSeconds();
       return solution;
@@ -114,7 +116,7 @@ Result<MilpSolution> MilpSolver::Solve(const MilpProblem& problem) const {
 
     // Select the most fractional binary variable.
     int branch_var = -1;
-    double branch_frac = options_.integrality_tolerance;
+    double branch_frac = kIntegralityTolerance;
     for (int var : problem.binary_vars) {
       const double value = lp_solution.x[var];
       const double frac = std::abs(value - std::round(value));

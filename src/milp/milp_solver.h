@@ -38,13 +38,10 @@ struct MilpSolution {
 };
 
 struct MilpSolverOptions {
-  std::int64_t max_nodes = 0;  ///< <= 0: unlimited
   /// Optional stop token (cancellation and deadline); may be null. Polled at
   /// every branch-and-bound node and every 16 simplex pivots of a node LP;
   /// on a stop the incumbent is returned with `optimal == false`.
   const CancelToken* cancel = nullptr;
-  /// Integrality tolerance for classifying LP values.
-  double integrality_tolerance = 1e-6;
   /// Optional primal heuristic: given a node's (fractional) LP solution,
   /// construct a feasible integer point. Returns true on success and fills
   /// the full solution vector + objective. The QUBO linearization supplies a

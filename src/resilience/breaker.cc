@@ -9,6 +9,11 @@
 namespace qplex::resilience {
 namespace {
 
+/// A failed half-open probe scales the next cooldown by this factor, up to
+/// the cap.
+constexpr double kCooldownMultiplier = 2.0;
+constexpr int kCooldownMaxConsults = 64;
+
 void CountTransition(const std::string& backend, BreakerState to) {
   auto& registry = obs::MetricsRegistry::Global();
   std::string_view kind;
@@ -156,9 +161,9 @@ void CircuitBreaker::RecordFailure() {
   if (state_ == BreakerState::kHalfOpen) {
     probe_in_flight_ = false;
     current_cooldown_ = std::min(
-        options_.cooldown_max_consults,
+        kCooldownMaxConsults,
         std::max(1, static_cast<int>(static_cast<double>(current_cooldown_) *
-                                     options_.cooldown_multiplier)));
+                                     kCooldownMultiplier)));
     TransitionLocked(BreakerState::kOpen);
     return;
   }

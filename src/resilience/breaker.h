@@ -38,12 +38,9 @@ struct BreakerOptions {
   /// consultations instead of seconds keeps chaos runs byte-reproducible —
   /// the transition sequence is a pure function of the request stream, not
   /// of scheduling latency.
+  /// Each half_open -> open reopen doubles the next cooldown, capped at 64
+  /// consults; a successful close resets it.
   int cooldown_consults = 8;
-
-  /// Each half_open -> open reopen scales the next cooldown by this factor,
-  /// capped at cooldown_max_consults; a successful close resets it.
-  double cooldown_multiplier = 2.0;
-  int cooldown_max_consults = 64;
 };
 
 /// Point-in-time view of one breaker, for health responses and tests.

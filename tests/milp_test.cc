@@ -133,22 +133,6 @@ TEST(MilpTest, InfeasibleIntegerProblem) {
   EXPECT_FALSE(solution.feasible);
 }
 
-TEST(MilpTest, NodeLimitStopsEarly) {
-  LpProblem lp;
-  lp.num_vars = 6;
-  lp.objective.assign(6, -1.0);
-  lp.AddRowLe({{0, 1.0}, {1, 1.0}, {2, 1.0}, {3, 1.0}, {4, 1.0}, {5, 1.0}},
-              3.5);
-  MilpProblem problem;
-  problem.lp = lp;
-  problem.binary_vars = {0, 1, 2, 3, 4, 5};
-  MilpSolverOptions options;
-  options.max_nodes = 1;
-  const MilpSolution solution = MilpSolver(options).Solve(problem).value();
-  EXPECT_FALSE(solution.optimal);
-  EXPECT_LE(solution.nodes, 1);
-}
-
 // -- QUBO linearization ---------------------------------------------------------
 
 TEST(LinearizationTest, StructureMatchesPaperEq14) {

@@ -228,7 +228,8 @@ Result<MkpQubo> BuildQubo(const SolveRequest& request,
 }
 
 /// Shared tail of the QUBO-based backends: build the qaMKP QUBO, run an
-/// annealer over it, repair the best sample to a k-plex.
+/// annealer over it, and improve the best sample to a maximal k-plex
+/// (MkpQubo::ImproveSample: repair, then greedy extension).
 template <typename Runner>
 Result<SolveOutcome> RunQuboBackend(const SolveRequest& request,
                                     const SolveContext& context,
@@ -240,8 +241,14 @@ Result<SolveOutcome> RunQuboBackend(const SolveRequest& request,
   QPLEX_ASSIGN_OR_RETURN(MkpQubo qubo, std::move(built));
   QPLEX_ASSIGN_OR_RETURN(AnnealResult result, runner(qubo));
   SolveOutcome outcome;
-  outcome.solution = SolutionFromMembers(qubo.RepairToPlex(result.best_sample));
   outcome.completed = result.completed;
+  // A run stopped before its first sample (the hybrid solver polls before
+  // each restart) has nothing to improve.
+  if (!result.best_sample.empty()) {
+    qubo.ImproveSample(&result.best_sample);
+    outcome.solution =
+        SolutionFromMembers(qubo.DecodeVertices(result.best_sample));
+  }
   return outcome;
 }
 

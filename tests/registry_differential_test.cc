@@ -2,10 +2,12 @@
 // sweep: seeded sparse and dense G(n, p) graphs with k = 1..4 go through
 // all ten MakeBuiltinRegistry() adapters. The exact backends (bs, enum,
 // milp, and qtkp/qmkp under both oracles) must reach the sweep's optimum;
-// the heuristics must return a verified k-plex no larger than it. milp runs
-// only on the graphs of at most kMilpMaxVertices vertices: its B&B over the
-// linearized QUBO does not close the gap on a sparse 8-vertex graph within
-// 5 s, while the 6- and 7-vertex cases close in well under a second each.
+// the heuristics must return a verified, non-empty k-plex no larger than it
+// (any single vertex is a k-plex, so an empty answer is never the best
+// found). milp runs only on the graphs of at most kMilpMaxVertices vertices:
+// its B&B over the linearized QUBO does not close the gap on a sparse
+// 8-vertex graph within 5 s, while the 6- and 7-vertex cases close in well
+// under a second each.
 
 #include <gtest/gtest.h>
 
@@ -117,6 +119,7 @@ TEST_P(RegistryDifferentialTest, BackendsAgreeWithTheSweep) {
     for (const char* heuristic : {"grasp", "sa", "pt", "pia", "hybrid"}) {
       const SolveOutcome outcome = Run(heuristic, graph, k);
       EXPECT_LE(outcome.solution.size, optimum.size) << at << heuristic;
+      EXPECT_GE(outcome.solution.size, 1) << at << heuristic;
       ExpectVerifiedPlex(graph, k, outcome.solution, at + heuristic);
       ran.insert(heuristic);
     }

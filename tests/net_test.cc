@@ -378,5 +378,35 @@ TEST(ServerIdleTest, QueuedWriteBytesSpareAnIdleConnection) {
   CloseFd(client.value());
 }
 
+// --- Slow-reader cap ----------------------------------------------------------
+
+TEST(ServerOverflowTest, SendPastTheWriteBufferCapClosesTheConnection) {
+  const ServerOptions options;  // the default 8 MiB cap
+  ServerHarness harness(options);
+
+  Result<int> client = ConnectLoopback(harness.server->port());
+  ASSERT_TRUE(client.ok()) << client.status();
+  ASSERT_TRUE(SetNonBlocking(client.value()).ok());
+  const std::string request = "{\"label\":\"never-reads\"}\n";
+  ASSERT_EQ(WriteFd(client.value(), request.data(), request.size()).state,
+            IoState::kOk);
+  while (harness.lines.empty()) {
+    harness.PollFor(5);
+  }
+
+  // The cap is checked when the response is queued, before any flush, so
+  // the outcome does not depend on how much the kernel would have taken.
+  const std::int64_t overflowed = NetCounter("net.connections.overflowed");
+  const std::int64_t closed = NetCounter("net.connections.closed.overflow");
+  harness.server->Send(harness.last_conn,
+                       std::string(options.max_write_buffer_bytes, 'x') +
+                           "\n");
+  EXPECT_EQ(harness.closed, std::vector<std::uint64_t>{harness.last_conn});
+  EXPECT_EQ(harness.server->active_connections(), 0u);
+  EXPECT_EQ(NetCounter("net.connections.overflowed"), overflowed + 1);
+  EXPECT_EQ(NetCounter("net.connections.closed.overflow"), closed + 1);
+  CloseFd(client.value());
+}
+
 }  // namespace
 }  // namespace qplex::net

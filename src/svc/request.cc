@@ -10,6 +10,11 @@
 namespace qplex::svc {
 namespace {
 
+Status MustBe(const std::string& field, const char* what, int line_number) {
+  return Status::InvalidArgument(field + " must be " + what + " at line " +
+                                 std::to_string(line_number));
+}
+
 Result<Graph> ParseInlineGraph(const obs::JsonValue& spec, int line_number) {
   const obs::JsonValue* n = spec.Find("n");
   if (n == nullptr || !n->is_int()) {
@@ -19,16 +24,14 @@ Result<Graph> ParseInlineGraph(const obs::JsonValue& spec, int line_number) {
   std::vector<std::pair<Vertex, Vertex>> edges;
   if (const obs::JsonValue* list = spec.Find("edges"); list != nullptr) {
     if (!list->is_array()) {
-      return Status::InvalidArgument("graph.edges must be an array at line " +
-                                     std::to_string(line_number));
+      return MustBe("graph.edges", "an array", line_number);
     }
     for (std::size_t i = 0; i < list->size(); ++i) {
       const obs::JsonValue& edge = list->at(i);
       if (!edge.is_array() || edge.size() != 2 || !edge.at(0).is_int() ||
           !edge.at(1).is_int()) {
-        return Status::InvalidArgument(
-            "graph.edges[" + std::to_string(i) +
-            "] must be [u, v] at line " + std::to_string(line_number));
+        return MustBe("graph.edges[" + std::to_string(i) + "]", "[u, v]",
+                      line_number);
       }
       edges.emplace_back(static_cast<Vertex>(edge.at(0).AsInt()),
                          static_cast<Vertex>(edge.at(1).AsInt()));
@@ -51,8 +54,7 @@ Result<Graph> LoadRequestGraph(const obs::JsonValue& line, int line_number) {
   std::string format = "dimacs";
   if (const obs::JsonValue* f = line.Find("format"); f != nullptr) {
     if (!f->is_string()) {
-      return Status::InvalidArgument("format must be a string at line " +
-                                     std::to_string(line_number));
+      return MustBe("format", "a string", line_number);
     }
     format = f->AsString();
   }
@@ -72,19 +74,20 @@ Result<RequestSpec> ParseRequestLine(const std::string& text,
                                      int line_number) {
   QPLEX_ASSIGN_OR_RETURN(obs::JsonValue line, obs::JsonValue::Parse(text));
   if (!line.is_object()) {
-    return Status::InvalidArgument("request must be a JSON object at line " +
-                                   std::to_string(line_number));
+    return MustBe("request", "a JSON object", line_number);
   }
   RequestSpec spec;
   spec.request.label = "line-" + std::to_string(line_number);
   if (const obs::JsonValue* id = line.Find("id"); id != nullptr) {
+    if (!id->is_string() && !id->is_int()) {
+      return MustBe("id", "a string or an integer", line_number);
+    }
     spec.request.label =
         id->is_string() ? id->AsString() : std::to_string(id->AsInt());
   }
   if (const obs::JsonValue* type = line.Find("type"); type != nullptr) {
     if (!type->is_string()) {
-      return Status::InvalidArgument("type must be a string at line " +
-                                     std::to_string(line_number));
+      return MustBe("type", "a string", line_number);
     }
     const std::string& name = type->AsString();
     if (name == "health") {
@@ -102,35 +105,48 @@ Result<RequestSpec> ParseRequestLine(const std::string& text,
   QPLEX_ASSIGN_OR_RETURN(spec.request.graph,
                          LoadRequestGraph(line, line_number));
   if (const obs::JsonValue* k = line.Find("k"); k != nullptr) {
+    if (!k->is_int()) {
+      return MustBe("k", "an integer", line_number);
+    }
     spec.request.k = static_cast<int>(k->AsInt());
   }
   if (const obs::JsonValue* seed = line.Find("seed"); seed != nullptr) {
+    if (!seed->is_int()) {
+      return MustBe("seed", "an integer", line_number);
+    }
     spec.request.seed = static_cast<std::uint64_t>(seed->AsInt());
   }
   if (const obs::JsonValue* deadline = line.Find("deadline_ms");
       deadline != nullptr) {
+    if (!deadline->is_number()) {
+      return MustBe("deadline_ms", "a number", line_number);
+    }
     spec.request.deadline_seconds = deadline->AsDouble() / 1e3;
   }
   if (const obs::JsonValue* backend = line.Find("backend");
       backend != nullptr) {
+    if (!backend->is_string()) {
+      return MustBe("backend", "a string", line_number);
+    }
     spec.request.backend = backend->AsString();
   }
   if (const obs::JsonValue* backends = line.Find("backends");
       backends != nullptr) {
     if (!backends->is_array() || backends->size() == 0) {
-      return Status::InvalidArgument(
-          "backends must be a non-empty array at line " +
-          std::to_string(line_number));
+      return MustBe("backends", "a non-empty array", line_number);
     }
     for (std::size_t i = 0; i < backends->size(); ++i) {
+      if (!backends->at(i).is_string()) {
+        return MustBe("backends[" + std::to_string(i) + "]", "a string",
+                      line_number);
+      }
       spec.backends.push_back(backends->at(i).AsString());
     }
   }
   if (const obs::JsonValue* options = line.Find("options");
       options != nullptr) {
     if (!options->is_object()) {
-      return Status::InvalidArgument("options must be an object at line " +
-                                     std::to_string(line_number));
+      return MustBe("options", "an object", line_number);
     }
     for (const auto& [key, value] : options->members()) {
       if (value.is_string()) {
@@ -142,9 +158,8 @@ Result<RequestSpec> ParseRequestLine(const std::string& text,
         formatted << value.AsDouble();
         spec.request.options[key] = formatted.str();
       } else {
-        return Status::InvalidArgument("option '" + key +
-                                       "' must be a string or number at line " +
-                                       std::to_string(line_number));
+        return MustBe("option '" + key + "'", "a string or number",
+                      line_number);
       }
     }
   }
